@@ -20,7 +20,6 @@ Families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .catalog import GrassmannianSpec, cayley, iter_catalog_specs
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
@@ -97,13 +96,6 @@ def rect_family(k: int, n: int, p: int) -> list[FoliationFamilyReport]:
             minimal=minimal,
             notes=tuple(notes),
         ))
-    if l_min * l_min - 4 * p >= 0:
-        delta = isqrt(l_min * l_min - 4 * p)
-        if delta * delta == l_min * l_min - 4 * p:
-            # The minimal rectangle dims are the integer roots of
-            # x^2 - l(p) x + p; they may still fail the box bounds.
-            d, e = (l_min + delta) // 2, (l_min - delta) // 2
-            assert d * e == p and d + e == l_min
     out.sort(key=lambda r: (not r.minimal, -r.params["d"]))
     return out
 

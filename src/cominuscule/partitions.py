@@ -235,3 +235,32 @@ def min_twist_spinor_oracle(n: int, p: int) -> MinTwistWitness:
     best = min(cost(mu) for mu in mus)
     mins = tuple(mu for mu in mus if cost(mu) == best)
     return MinTwistWitness(best, mins, COST_D, box=None)
+
+
+def closed_form_cases(family: str, max_rank: int, max_p: int | None = None
+                      ) -> Iterator[tuple[int | None, int, int, int, MinTwistWitness]]:
+    """Every case on which a family's closed form is checked against its
+    oracle, up to an ambient rank (and grade ``max_p``, if given).
+
+    Family "A" sweeps G(k,n) with k <= n/2 and n <= max_rank + 1, "C" the
+    symplectic flavor with 2 <= n <= max_rank, "D" the orthogonal flavor
+    with 3 <= n <= max_rank.  Yields (k, n, p, closed-form l, oracle
+    witness), with k None outside family A.
+    """
+    if family == "A":
+        spaces = [(k, n, k * (n - k)) for n in range(2, max_rank + 2)
+                 for k in range(1, n // 2 + 1)]
+    elif family == "C":
+        spaces = [(None, n, n * (n + 1) // 2) for n in range(2, max_rank + 1)]
+    elif family == "D":
+        spaces = [(None, n, n * (n - 1) // 2) for n in range(3, max_rank + 1)]
+    else:
+        raise ValueError(f"unknown family {family!r}; expected A, C or D")
+    for k, n, top in spaces:
+        for p in range(1, min(top, max_p or top) + 1):
+            if family == "A":
+                yield k, n, p, min_twist_grass(k, n, p), min_twist_grass_oracle(k, n, p)
+            elif family == "C":
+                yield k, n, p, min_twist_lagr(p), min_twist_lagr_oracle(n, p)
+            else:
+                yield k, n, p, min_twist_spinor(p), min_twist_spinor_oracle(n, p)

@@ -14,12 +14,11 @@ Three routes produce the same answer and are tested against each other:
   and the quadrics.
 
 The dynamic program is the one performance-sensitive spot: states are kept
-as numpy integer arrays (packed into int64 words for ranks up to 7), and the
-27-dimensional case computes grades up to 14 directly, deriving the upper
-half of the exterior algebra through Serre-style duality
+as numpy integer arrays (packed into int64 words for ranks up to 7).  On
+every space the engine computes grades up to ceil(dim/2) directly and
+derives the upper half of the exterior algebra through the duality
 ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -32,8 +31,6 @@ import numpy as np
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
 from .rootsys import Weight, negate
-
-_METHODS = ("CauchyA", "HooksC", "HooksD", "WeightDP")
 
 # int64 packing uses one byte per coordinate; coordinate magnitudes are sums
 # of at most dim X root coordinates, far below the 127 guard.
@@ -245,9 +242,8 @@ def _tables_for(spec: GrassmannianSpec, max_grade: int):
     cached = _DP_CACHE.get(spec.name)
     if cached is not None and cached[0] >= max_grade:
         return cached[1]
-    # One pass serves all later grades; spaces big enough for the duality
-    # shortcut only ever need the lower half directly.
-    horizon = spec.dim if spec.dim < 24 else max(max_grade, (spec.dim + 1) // 2)
+    # One pass serves all later grades; the upper half comes from duality.
+    horizon = max(max_grade, (spec.dim + 1) // 2)
     weights = [negate(r) for r in nilradical_roots(spec)]
     tables = _exterior_tables(weights, horizon)
     _DP_CACHE[spec.name] = (horizon, tables)
@@ -320,8 +316,7 @@ def _dp_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ..
     hit = _DECOMP_CACHE.get(key)
     if hit is not None:
         return hit
-    half = (spec.dim + 1) // 2
-    if spec.dim >= 24 and p > half:
+    if p > (spec.dim + 1) // 2:
         base = _dp_summands(spec, spec.dim - p)
         summands = tuple(sorted(
             (_dual_summand(spec, s, p) for s in base),
@@ -405,14 +400,13 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
     ="WeightDP"`` forces the engine (used for cross-path testing)."""
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
-    auto = {
+    if method not in ("auto", "WeightDP"):
+        raise ValueError(f"unknown method {method!r}; expected auto or WeightDP")
+    chosen = "WeightDP" if method == "WeightDP" else {
         "grassmannian": "CauchyA",
         "lagrangian": "HooksC",
         "spinor": "HooksD",
     }.get(spec.family, "WeightDP")
-    chosen = auto if method == "auto" else method
-    if chosen not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
 
     if chosen == "CauchyA":
         summands = tuple(s for _, s in cauchy_decompose(*spec.params, p))

@@ -8,10 +8,11 @@ of one summand is just the negated marked coefficient, and l(p) is the
 minimum over summands; dominance at l implies dominance at every l' >= l, so
 higher twists never vanish again.
 
-Quadrics get a closed form l(p) = p + 1 (p < dim), with the weight engine
-kept available as a cross-check; global generation of the critically twisted
-form bundle on quadrics is a sheaf statement outside this module's scope and
-is deliberately not modeled.
+Every family except the exceptional spaces has a closed form for l(p) (for
+quadrics l(p) = p + 1 when p < dim); ``min_twist`` reads l(p) off the
+decomposition and raises if the closed form disagrees.  Global generation of
+the critically twisted form bundle on quadrics is a sheaf statement outside
+this module's scope and is deliberately not modeled.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ class MinTwistReport:
 
     ``degree`` is the foliation-degree shift l - p - 1; ``h0_dim`` is the
     dimension of the first nonvanishing section space, summed over witness
-    summands; ``formula_l`` carries the family closed form when one exists
-    (always equal to ``l``, kept for report transparency).
+    summands.
     """
 
     spec: GrassmannianSpec
@@ -42,7 +42,6 @@ class MinTwistReport:
     witnesses: tuple[IrreducibleSummand, ...]
     h0_dim: int
     method: str
-    formula_l: int | None
 
     @property
     def space(self) -> str:
@@ -77,36 +76,37 @@ def closed_form_l(spec: GrassmannianSpec, p: int) -> int | None:
     return None
 
 
-def min_twist(spec: GrassmannianSpec, p: int,
-              force_plethysm: bool = False) -> MinTwistReport:
+def _min_l(spec: GrassmannianSpec, summands) -> int:
+    """l(p) read off a decomposition: the smallest twist making some summand
+    dominant, i.e. the least negated marked coefficient."""
+    k = spec.marked_node - 1
+    return min(-s.highest_weight[k] for s in summands)
+
+
+def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
     """Minimal twist report for the p-th exterior power.
 
     The summand decomposition always comes from the family's preferred path;
     l(p) is the smallest twist making some summand dominant.  For families
     with a closed form the two answers are cross-checked and a disagreement
-    raises (it would falsify a theorem, i.e. reveal a bug).  For quadrics the
-    closed form is authoritative by default; ``force_plethysm`` makes the
-    weight engine authoritative instead, which only reorders the comparison.
+    raises (it would falsify a theorem, i.e. reveal a bug).
     """
-    if not 1 <= p <= spec.dim:
-        raise ValueError(f"p={p} out of range 1..{spec.dim} for {spec.name}")
-    report = omega_decompose(spec, p)
-    k = spec.marked_node - 1
-    l_engine = min(-s.highest_weight[k] for s in report.summands)
     formula = closed_form_l(spec, p)
-    if formula is not None and formula != l_engine:
+    report = omega_decompose(spec, p)
+    l = _min_l(spec, report.summands)
+    if formula is not None and formula != l:
         raise AssertionError(
             f"{spec.name}, p={p}: closed form gives l={formula}, "
-            f"weight engine gives l={l_engine}")
-    l = l_engine if (force_plethysm or formula is None) else formula
+            f"weight engine gives l={l}")
+    k = spec.marked_node - 1
     witnesses = tuple(s for s in report.summands
                       if -s.highest_weight[k] == l)
     h0 = sum(h0_dim(spec, s, l) for s in witnesses)
-    if not witnesses or h0 < 1:
+    if h0 < 1:
         raise AssertionError(f"{spec.name}, p={p}: empty witness set at l={l}")
     return MinTwistReport(
         spec=spec, p=p, l=l, degree=l - p - 1, witnesses=witnesses,
-        h0_dim=h0, method=report.method, formula_l=formula,
+        h0_dim=h0, method=report.method,
     )
 
 
@@ -115,9 +115,7 @@ def _scan_l(spec: GrassmannianSpec, p: int) -> int:
     formula = closed_form_l(spec, p)
     if formula is not None:
         return formula
-    k = spec.marked_node - 1
-    report = omega_decompose(spec, p)
-    return min(-s.highest_weight[k] for s in report.summands)
+    return _min_l(spec, omega_decompose(spec, p).summands)
 
 
 # -- low-twist scan ---------------------------------------------------------------
@@ -236,14 +234,13 @@ def table_audit(which: str) -> TableAudit:
         spec, table = freudenthal(), tables.TABLE_E7
     else:
         raise ValueError(f"unknown table {which!r}; expected E6 or E7")
-    k = spec.marked_node - 1
     rows = []
     for p in sorted(table):
         expected_weights, expected_l = table[p]
         report = omega_decompose(spec, p)
         got = tuple(sorted(report.weights(), reverse=True))
         want = tuple(sorted(expected_weights, reverse=True))
-        got_l = min(-s.highest_weight[k] for s in report.summands)
+        got_l = _min_l(spec, report.summands)
         rows.append(TableAuditRow(
             p=p,
             computed_weights=got,

@@ -34,12 +34,11 @@ from cominuscule.catalog import (
 )
 from cominuscule.foliations import cayley_family, orthogonal_family, symplectic_family
 from cominuscule.partitions import (
+    closed_form_cases,
     dual,
     min_twist_grass,
     min_twist_grass_oracle,
-    min_twist_lagr,
     min_twist_lagr_oracle,
-    min_twist_spinor,
     min_twist_spinor_oracle,
 )
 from cominuscule.plethysm import _DP_CACHE, omega_decompose
@@ -132,17 +131,10 @@ def test_criterion_02_e7_table_reproduction():
 
 def test_criterion_03_closed_form_vs_oracle():
     t0 = time.monotonic()
-    for k in range(1, 9):
-        for n in range(2 * k, 17):
-            for p in range(1, k * (n - k) + 1):
-                assert min_twist_grass(k, n, p) == \
-                    min_twist_grass_oracle(k, n, p).l, (k, n, p)
-    for n in range(2, 11):
-        for p in range(1, n * (n + 1) // 2 + 1):
-            assert min_twist_lagr(p) == min_twist_lagr_oracle(n, p).l, (n, p)
-    for n in range(3, 11):
-        for p in range(1, n * (n - 1) // 2 + 1):
-            assert min_twist_spinor(p) == min_twist_spinor_oracle(n, p).l, (n, p)
+    # G(k,n) for k <= 8, 2k <= n <= 16; both hook flavors for n <= 10
+    for family, max_rank in (("A", 15), ("C", 10), ("D", 10)):
+        for k, n, p, l, oracle in closed_form_cases(family, max_rank):
+            assert l == oracle.l, (family, k, n, p)
     elapsed = time.monotonic() - t0
     ok = elapsed <= 60
     _line(3, ok, f"closed form equals oracle on all three families, {elapsed:.1f}s")

@@ -66,13 +66,6 @@ def test_min_twist_csv_row(capsys):
     assert (space, p, l, d) == ("G:3:9", "7", "6", "-2")
 
 
-def test_min_twist_force_plethysm_on_quadric(capsys):
-    code, out, _ = run(capsys, "min-twist", "--space", "Q:6", "--p", "3",
-                       "--force-plethysm")
-    assert code == 0
-    assert json.loads(out)["l"] == 4
-
-
 def test_partitions_verify(capsys):
     code, out, _ = run(capsys, "partitions", "verify", "--family", "C",
                        "--max-rank", "5")
@@ -154,3 +147,22 @@ def test_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["l"] == 3
+
+
+def test_internal_failure_has_its_own_exit_code(capsys):
+    # Q:120 overflows the byte packing of the weight engine: an internal
+    # limit, not a mathematical mismatch and not a usage error
+    code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
+                         "--p", "2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: AssertionError: ")
+
+
+def test_omega_method_takes_only_auto_or_engine():
+    # a fast path is chosen by the family, never by name
+    with pytest.raises(SystemExit) as exc:
+        main(["omega", "decompose", "--space", "Q:5", "--p", "2",
+              "--method", "CauchyA"])
+    assert exc.value.code == 2

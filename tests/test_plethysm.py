@@ -151,6 +151,13 @@ def test_hooks_spinor_weights():
 def test_hooks_rejects_wrong_family():
     with pytest.raises(ValueError):
         hooks_decompose(quadric(5), 2)
+    # the fast paths are reached only through method="auto", which picks
+    # the right one for the family
+    for spec, p, method in [(quadric(5), 2, "CauchyA"), (spinor(5), 3, "HooksC"),
+                            (grassmannian(2, 5), 2, "HooksD"),
+                            (grassmannian(2, 5), 2, "Cauchy")]:
+        with pytest.raises(ValueError):
+            omega_decompose(spec, p, method=method)
 
 
 def test_twist_lemma_values():
@@ -191,12 +198,17 @@ def test_rank_identity_cayley_all_grades():
 
 
 def test_duality_shortcut_matches_direct_dp():
-    # grades above the halfway point are derived by duality; recompute one
-    # directly from the weight multiset and compare
-    spec = freudenthal()
-    via_duality = omega_decompose(spec, 20)
-    direct = decompose(omega_p_weights(spec, 20), spec)
-    assert via_duality.weights() == tuple(s.highest_weight for s in direct)
+    # grades above the halfway point are derived by duality on every engine
+    # space; recompute them directly from the weight multiset and compare
+    cases = [(freudenthal(), [20])]
+    for spec in [cayley(), quadric(12), quadric(13), grassmannian(3, 7),
+                 lagrangian(4), spinor(5)]:
+        cases.append((spec, range((spec.dim + 1) // 2 + 1, spec.dim + 1)))
+    for spec, grades in cases:
+        for p in grades:
+            direct = tuple(decompose(omega_p_weights(spec, p), spec))
+            via_duality = omega_decompose(spec, p, method="WeightDP")
+            assert via_duality.summands == direct, (spec.name, p)
 
 
 def test_duality_small_rank():
