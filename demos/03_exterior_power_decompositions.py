@@ -3,7 +3,7 @@
 Three independent routes agree: the partition-indexed fast paths
 (tensor-square, symmetric-square, alternating-square Cauchy formulas) and
 the general weight engine (subset-sum dynamic program over the nilradical
-roots plus greedy Freudenthal subtraction).  The exceptional spaces have no
+roots plus Klimyk's formula).  The exceptional spaces have no
 fast path; the engine does them from first principles.
 """
 

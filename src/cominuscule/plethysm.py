@@ -8,13 +8,14 @@ Three routes produce the same answer and are tested against each other:
 * ``hooks_decompose``: the symplectic/orthogonal fast paths, indexed by the
   arm = leg +- 1 hook classes;
 * the general weight engine: a subset-sum dynamic program over the nilradical
-  roots produces the weight multiset of the p-th exterior power, and greedy
-  highest-weight subtraction of Levi characters (Freudenthal) extracts the
-  irreducible summands.  This is the only route for the exceptional spaces
-  and the quadrics.
+  roots produces the weight multiset of the p-th exterior power, and
+  Klimyk's formula reads the irreducible summands off that multiset in one
+  vectorized pass of Levi reflections.  This is the only route for the
+  exceptional spaces and the quadrics.
 
-The dynamic program is the one performance-sensitive spot: states are kept
-as numpy integer arrays (packed into int64 words for ranks up to 7).  On
+Both steps of the engine work on numpy integer arrays: the DP states are
+packed into int64 words (7 coordinates per word), and the Klimyk pass
+reflects the int16 weight rows.  On
 every space the engine computes grades up to ceil(dim/2) directly and
 derives the upper half of the exterior algebra through the duality
 ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
@@ -38,7 +39,16 @@ _PACK_BOUND = 120
 
 
 class DecompositionError(RuntimeError):
-    """Internal consistency failure while subtracting Levi characters."""
+    """Internal consistency failure of a decomposition."""
+
+
+class RankIdentityError(DecompositionError):
+    """The Levi dimensions of the summands do not add up to binom(dim X, p)."""
+
+    def __init__(self, message: str, expected: int, got: int):
+        super().__init__(message)
+        self.expected = expected
+        self.got = got
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +89,8 @@ class WeightMultiset:
         return int(self._counts[idx[0]]) if len(idx) else 0
 
     def dominant_entries(self, levi) -> dict[Weight, int]:
-        """Entries whose weight is Levi-dominant (the greedy engine's input)."""
+        """Entries whose weight is Levi-dominant; with Levi-Weyl symmetry
+        they determine the whole multiset."""
         k = levi.node - 1
         mask = np.ones(len(self._counts), dtype=bool)
         for i in range(self._rows.shape[1]):
@@ -164,7 +175,8 @@ def _make_summand(spec: GrassmannianSpec, weight: Weight, p: int) -> Irreducible
 
 
 def _group_words(words: np.ndarray, counts: np.ndarray):
-    """Deduplicate packed-word rows, summing counts of equal rows."""
+    """Deduplicate integer rows (packed words or weights), summing counts
+    of equal rows."""
     if words.shape[1] == 1:
         order = np.argsort(words[:, 0], kind="stable")
     else:
@@ -172,7 +184,7 @@ def _group_words(words: np.ndarray, counts: np.ndarray):
     words = words[order]
     counts = counts[order]
     head = np.empty(len(counts), dtype=bool)
-    head[0] = True
+    head[:1] = True
     np.any(words[1:] != words[:-1], axis=1, out=head[1:])
     idx = np.flatnonzero(head)
     return words[idx], np.add.reduceat(counts, idx)
@@ -262,39 +274,140 @@ def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
     return ws
 
 
-# -- greedy highest-weight subtraction ---------------------------------------------
+# -- Klimyk's formula ---------------------------------------------------------------
+
+
+def _radix(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and place values of a mixed-radix int64 key, injective on
+    int16 rows inside the box spanned by ``rows``.  The last coordinate is
+    the most significant, so the key orders rows as the DP emits them."""
+    lo = rows.min(axis=0).astype(np.int64)
+    place = [1]
+    for span in (rows.max(axis=0) - lo + 1).tolist():
+        place.append(place[-1] * span)
+    if place[-1] >= 2 ** 63:
+        raise DecompositionError(
+            f"weight box of {place[-1]} points does not fit a 64-bit key")
+    return lo, np.asarray(place[:-1], dtype=np.int64)
+
+
+def _keys(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
+    key = np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        key += (rows[:, j] - lo[j]) * place[j]
+    return key
+
+
+def _check_levi_invariant(spec: GrassmannianSpec, rows: np.ndarray,
+                          counts: np.ndarray, keys: np.ndarray,
+                          lo: np.ndarray, place: np.ndarray) -> None:
+    """Raise unless every Levi simple reflection maps the rows onto
+    themselves with equal counts (rows sorted by strictly increasing key).
+
+    s_i fixes the rows with mu_i = 0 and must map the rows with mu_i = v > 0
+    onto those with mu_i = -v.  On each such class s_i is the translation by
+    -v alpha_i, which keeps the key order; so with both sides sorted stably
+    by |mu_i|, every row must sit opposite its own image.
+    """
+    alpha = spec.ambient.simple_roots
+    hi = rows.max(axis=0)
+    for i in spec.levi.nodes:
+        broken = f"{spec.name}: weight multiset is not invariant under s_{i + 1}"
+        col = rows[:, i]
+        up = np.flatnonzero(col > 0)
+        down = np.flatnonzero(col < 0)
+        if len(up) != len(down):
+            raise DecompositionError(broken)
+        up = up[np.argsort(col[up], kind="stable")]
+        down = down[np.argsort(-col[down], kind="stable")]
+        v = col[up].astype(np.int64)
+        image = keys[up]
+        for j in np.flatnonzero(alpha[i]):
+            old = rows[up, j].astype(np.int64)
+            new = old - v * alpha[i][j]
+            if len(new) and (new.min() < lo[j] or new.max() > hi[j]):
+                raise DecompositionError(broken)
+            image = image + (new - old) * place[j]
+        if (image != keys[down]).any() or (counts[up] != counts[down]).any():
+            raise DecompositionError(broken)
 
 
 def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSummand]:
     """Decompose a Levi-Weyl-invariant weight multiset into irreducibles.
 
-    Repeatedly selects a dominance-maximal Levi-dominant weight of positive
-    multiplicity (ties broken lexicographically), emits it, and subtracts the
-    full Levi character of that irreducible.  The multiset must come out
-    empty; any negative intermediate multiplicity signals an inconsistent
-    input and raises DecompositionError.
+    Klimyk's formula with nu = 0 (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, sec. 24; Fulton-Harris, sec. 25): for a
+    W_L-invariant multiset m, ``sum_mu m(mu) e^mu = sum_mu m(mu) eps(w)
+    ch V_{w(mu + rho) - rho}`` over all weights mu, where w moves mu + rho
+    into the dominant Levi chamber and the terms with mu + rho singular
+    vanish.  Any rho with every Levi coordinate 1 gives the same dot
+    action; this one has marked coordinate 0.  Each row is reflected in its
+    first negative Levi coordinate, its count changing sign, until it is
+    dominant; a zero Levi coordinate makes it singular and drops it.
+
+    Raises DecompositionError unless the multiset is W_L-invariant (Klimyk's
+    formula needs it), every resulting multiplicity is nonnegative, and the
+    Levi dimensions add up to the multiset's size.
     """
+    rows, counts = ws._rows, ws._counts
     levi = spec.levi
-    rs = spec.ambient
-    remaining = dict(ws.dominant_entries(levi))
+    alpha = np.asarray(spec.ambient.simple_roots, dtype=np.int16)
+    if counts.min() < 0 or int(counts.max()) * len(counts) >= 2 ** 63:
+        raise DecompositionError(f"{spec.name}: counts out of range")
+    # Every reflected row is w(mu) + rho - (rho - w rho), with w(mu) a row and
+    # rho - w rho a sum of distinct positive Levi roots; products y_i alpha_i
+    # stay within |alpha| times that bound, so int16 never overflows.
+    reach = max(-int(rows.min()), int(rows.max())) + 1 + max(
+        sum(abs(b[j]) for b in levi.positive_roots)
+        for j in range(spec.ambient.rank))
+    if reach * (1 + int(np.abs(alpha).max())) > np.iinfo(np.int16).max:
+        raise DecompositionError(f"{spec.name}: weights too large for int16")
+
+    lo, place = _radix(rows)
+    keys = _keys(rows, lo, place)
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, rows, counts = keys[order], rows[order], counts[order]
+        if not (keys[1:] > keys[:-1]).all():
+            raise DecompositionError(f"{spec.name}: repeated weight rows")
+    _check_levi_invariant(spec, rows, counts, keys, lo, place)
+
+    cols = np.asarray(levi.nodes, dtype=np.intp)
+    rho = np.ones(spec.ambient.rank, dtype=np.int16)
+    rho[levi.node - 1] = 0
+    y, c = rows + rho, counts
+    done_y, done_c = [], []
+    while True:
+        levi_part = y[:, cols]
+        negative = levi_part < 0
+        regular = (levi_part != 0).all(axis=1)
+        pending = negative.any(axis=1)
+        done = regular & ~pending
+        done_y.append(y[done])
+        done_c.append(c[done])
+        go = regular & pending
+        if not go.any():
+            break
+        y, c, levi_part = y[go], -c[go], levi_part[go]
+        first = negative[go].argmax(axis=1)
+        y -= levi_part[np.arange(len(c)), first][:, None] * alpha[cols[first]]
+    lam, mult = _group_words(np.concatenate(done_y) - rho, np.concatenate(done_c))
+    if (mult < 0).any():
+        raise DecompositionError(
+            f"{spec.name}, p={ws.grade}: negative multiplicity "
+            f"{int(mult.min())} from Klimyk's formula")
+
     summands: list[IrreducibleSummand] = []
-    while remaining:
-        rho = max(remaining, key=lambda w: (rs.height_key(w), w))
-        mult = remaining[rho]
-        if mult <= 0:
-            raise DecompositionError(f"nonpositive multiplicity at {rho}")
-        character = levi.dominant_weight_multiplicities(rho)
-        for w, m in character.items():
-            c = remaining.get(w, 0) - mult * m
-            if c < 0:
-                raise DecompositionError(
-                    f"{spec.name}: multiplicity went negative at {w} "
-                    f"while removing {mult} x V_{rho}")
-            if c:
-                remaining[w] = c
-            else:
-                remaining.pop(w, None)
-        summands.extend([_make_summand(spec, rho, ws.grade)] * mult)
+    size = 0
+    for weight, m in zip(lam.tolist(), mult.tolist()):
+        if m:
+            s = _make_summand(spec, tuple(weight), ws.grade)
+            size += m * s.levi_dim
+            summands.extend([s] * m)
+    if size != ws.total():
+        raise DecompositionError(
+            f"{spec.name}, p={ws.grade}: summands have total dimension {size}, "
+            f"the weight multiset {ws.total()}")
     summands.sort(key=lambda s: s.highest_weight, reverse=True)
     return summands
 
@@ -418,7 +531,7 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
     report = DecompositionReport(spec=spec, p=p, summands=summands, method=chosen)
     expected, got = report.rank_identity()
     if expected != got:
-        raise DecompositionError(
+        raise RankIdentityError(
             f"{spec.name}, p={p}, {chosen}: rank identity failed "
-            f"({got} != {expected})")
+            f"({got} != {expected})", expected, got)
     return report

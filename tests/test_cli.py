@@ -1,7 +1,10 @@
 import json
+from math import comb
 
 import pytest
 
+from cominuscule import plethysm
+from cominuscule.catalog import quadric
 from cominuscule.cli import main
 
 
@@ -128,6 +131,26 @@ def test_verify_small_run(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and len(data["components"]) == 6
+
+
+def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch):
+    # drop one summand of one engine decomposition: verify must list the
+    # (space, p) with both sums and exit 1, not stop with an internal error
+    real = plethysm._dp_summands
+
+    def lossy(spec, p):
+        summands = real(spec, p)
+        return summands[1:] if (spec.name, p) == ("Q:5", 2) else summands
+
+    monkeypatch.setattr(plethysm, "_dp_summands", lossy)
+    code, out, _ = run(capsys, "verify", "--max-rank", "3")
+    assert code == 1
+    components = {c["name"]: c for c in json.loads(out)["components"]}
+    rank = components.pop("rank identity")
+    dropped = real(quadric(5), 2)[0].levi_dim
+    assert rank["failures"] == [{"space": "Q:5", "p": 2, "expected": comb(5, 2),
+                                 "got": comb(5, 2) - dropped}]
+    assert all(c["ok"] for c in components.values())
 
 
 def test_output_determinism(capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -86,8 +87,8 @@ def test_freudenthal_row_nine():
 
 
 def test_decompose_rejects_inconsistent_multiset():
-    # damage the count of a non-maximal dominant weight; the subtraction of
-    # the top irreducible's character must then go negative
+    # the dominant entries alone, with the count of a non-maximal one
+    # lowered: not a Levi-Weyl-invariant multiset
     spec = quadric(5)
     entries = omega_p_weights(spec, 2).dominant_entries(spec.levi)
     assert len(entries) >= 2
@@ -97,6 +98,15 @@ def test_decompose_rejects_inconsistent_multiset():
     entries[victim] -= 1
     ws = WeightMultiset.from_entries(2, {w: c for w, c in entries.items() if c})
     with pytest.raises(DecompositionError):
+        decompose(ws, spec)
+    # the full multiset with one non-dominant count lowered: its dominant
+    # entries are intact, so only the Levi-Weyl symmetry shows the damage
+    entries = omega_p_weights(spec, 2).entries
+    victim = (-3, 2, -2)
+    assert not spec.levi.is_dominant(victim) and entries[victim] == 1
+    entries[victim] -= 1
+    ws = WeightMultiset.from_entries(2, {w: c for w, c in entries.items() if c})
+    with pytest.raises(DecompositionError, match="not invariant"):
         decompose(ws, spec)
 
 
@@ -209,6 +219,24 @@ def test_duality_shortcut_matches_direct_dp():
             direct = tuple(decompose(omega_p_weights(spec, p), spec))
             via_duality = omega_decompose(spec, p, method="WeightDP")
             assert via_duality.summands == direct, (spec.name, p)
+
+
+@pytest.mark.parametrize("spec,top", [
+    (cayley(), None), (freudenthal(), 6), (grassmannian(3, 7), None),
+    (lagrangian(4), None), (spinor(5), None),
+    *((quadric(n), None) for n in range(5, 14)),
+])
+def test_engine_summands_reexpand_to_the_weight_multiset(spec, top):
+    # Freudenthal's recursion is an independent reference for the engine:
+    # the dominant characters of the summands must add up to the dominant
+    # part of the weight multiset they were read off
+    levi = spec.levi
+    for p in range((top or (spec.dim + 1) // 2) + 1):
+        summed = Counter()
+        for s in omega_decompose(spec, p, method="WeightDP").summands:
+            summed.update(levi.dominant_weight_multiplicities(s.highest_weight))
+        assert summed == omega_p_weights(spec, p).dominant_entries(levi), \
+            (spec.name, p)
 
 
 def test_duality_small_rank():
