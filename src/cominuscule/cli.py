@@ -134,6 +134,10 @@ def _component(name, checked, failures):
     }
 
 
+def _top(spec, max_p) -> int:
+    return spec.dim if max_p is None else min(spec.dim, max_p)
+
+
 def _verify_partitions(max_rank: int, families, max_p) -> dict:
     failures = []
     checked = 0
@@ -154,7 +158,7 @@ def _verify_paths(max_rank: int, max_p, jobs: int) -> dict:
         max_rank, families=("grassmannian", "lagrangian", "spinor"))
         if s.dim <= 21]
     tasks = [(spec, p) for spec in specs
-             for p in range(0, min(spec.dim, max_p or spec.dim) + 1)]
+             for p in range(0, _top(spec, max_p) + 1)]
 
     def check(task):
         spec, p = task
@@ -180,7 +184,7 @@ def _verify_rank_identity(max_rank: int, max_p) -> dict:
             continue
         if spec.family in ("quadric_odd", "quadric_even") and spec.dim > 12:
             continue
-        top = min(spec.dim, max_p or spec.dim)
+        top = _top(spec, max_p)
         if spec.family == "cayley":
             top = min(top, 16)
         for p in range(0, top + 1):
@@ -250,6 +254,8 @@ def run_verify(max_rank: int = 6, families=("A", "C", "D"), max_p=None,
     """Run the batch verification suite; returns (exit_code, report)."""
     if max_rank < 2:
         raise ValueError("--max-rank must be at least 2")
+    if max_p is not None and max_p < 0:
+        raise ValueError("--max-p must be nonnegative")
     jobs = jobs or min(8, os.cpu_count() or 1)
     components = [
         _verify_partitions(max_rank, families, max_p),

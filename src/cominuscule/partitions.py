@@ -247,6 +247,8 @@ def closed_form_cases(family: str, max_rank: int, max_p: int | None = None
     with 3 <= n <= max_rank.  Yields (k, n, p, closed-form l, oracle
     witness), with k None outside family A.
     """
+    if max_p is not None and max_p < 0:
+        raise ValueError(f"max_p={max_p} must be nonnegative")
     if family == "A":
         spaces = [(k, n, k * (n - k)) for n in range(2, max_rank + 2)
                  for k in range(1, n // 2 + 1)]
@@ -257,7 +259,7 @@ def closed_form_cases(family: str, max_rank: int, max_p: int | None = None
     else:
         raise ValueError(f"unknown family {family!r}; expected A, C or D")
     for k, n, top in spaces:
-        for p in range(1, min(top, max_p or top) + 1):
+        for p in range(1, (top if max_p is None else min(top, max_p)) + 1):
             if family == "A":
                 yield k, n, p, min_twist_grass(k, n, p), min_twist_grass_oracle(k, n, p)
             elif family == "C":

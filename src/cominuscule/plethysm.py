@@ -23,7 +23,6 @@ derives the upper half of the exterior algebra through the duality
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -83,11 +82,6 @@ class WeightMultiset:
             for row, c in zip(self._rows, self._counts)
         }
 
-    def multiplicity(self, w: Weight) -> int:
-        mask = np.all(self._rows == np.asarray(w, dtype=self._rows.dtype), axis=1)
-        idx = np.flatnonzero(mask)
-        return int(self._counts[idx[0]]) if len(idx) else 0
-
     def dominant_entries(self, levi) -> dict[Weight, int]:
         """Entries whose weight is Levi-dominant; with Levi-Weyl symmetry
         they determine the whole multiset."""
@@ -140,20 +134,20 @@ def twist_via_lemma(spec: GrassmannianSpec, levi_weight: Weight, mu_size: int) -
     For a summand with Levi highest weight rho inside the mu-th Schur functor
     of the cotangent bundle, the twist is
     ``<|mu| lambda - rho, l_k> / <l_k, l_k>`` with lambda the cotangent
-    highest weight; the division must be exact.
+    highest weight; the division must be exact.  Every <x, l_k> is the same
+    positive multiple of row k of ``scaled_inverse_cartan`` applied to x.
     """
-    rs = spec.ambient
     k = spec.marked_node - 1
     if levi_weight[k]:
         raise ValueError("levi_weight must have zero marked-node coordinate")
-    lam_k = tuple(1 if i == k else 0 for i in range(rs.rank))
-    num = Fraction(mu_size) * rs.pairing(spec.cotangent_weight, lam_k) \
-        - rs.pairing(levi_weight, lam_k)
-    a = num / rs.pairing(lam_k, lam_k)
-    if a.denominator != 1:
+    row = spec.ambient.scaled_inverse_cartan[k]
+    num = (mu_size * sum(x * y for x, y in zip(row, spec.cotangent_weight))
+           - sum(x * y for x, y in zip(row, levi_weight)))
+    a, r = divmod(num, row[k])
+    if r:
         raise DecompositionError(
-            f"{spec.name}: twist coefficient {a} is not an integer")
-    return int(a)
+            f"{spec.name}: twist coefficient {num}/{row[k]} is not an integer")
+    return a
 
 
 def _make_summand(spec: GrassmannianSpec, weight: Weight, p: int) -> IrreducibleSummand:

@@ -2,8 +2,17 @@
 
 Weights are integer tuples in the fundamental-weight basis, with Bourbaki
 node numbering throughout (E6 and E7 are numbered so that the branch node
-attaches at node 4).  All arithmetic is exact: rationals for the invariant
-pairing, arbitrary-precision integers everywhere else; no floating point.
+attaches at node 4).  All arithmetic is exact and integer: rationals appear
+only in the public ``pairing`` and ``inverse_cartan``; no floating point.
+
+Every derived table is read off the simple-root coordinates c(alpha) of the
+positive roots and the norms |alpha_i|^2.  Since (l_i, alpha) =
+c_i(alpha) |alpha_i|^2 / 2, the rows 2(l_i, alpha) form one integer table
+that serves Weyl dimensions and Freudenthal's formula.  The Casimir identity
+``sum_{alpha > 0} (lambda, alpha) alpha = h^vee lambda`` (Bourbaki, Lie
+Groups and Lie Algebras, VI.1.12; h^vee the dual Coxeter number) gives the
+inverse Cartan matrix without elimination:
+``2 h^vee C^{-1} = c^T c diag(|alpha_i|^2)``, checked exactly on construction.
 
 The invariant form is normalized so that long roots have squared length 2.
 Published tables sometimes use a different global scale (e.g. the type-C
@@ -17,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import prod
+
+import numpy as np
 
 Weight = tuple[int, ...]
 
@@ -82,31 +93,14 @@ def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
-def _half_norms(lie_type: LieType) -> tuple[Fraction, ...]:
-    """(alpha_i, alpha_i)/2 with long roots normalized to squared length 2."""
+def _norms(lie_type: LieType) -> tuple[int, ...]:
+    """(alpha_i, alpha_i) with long roots normalized to squared length 2."""
     r = lie_type.rank
     if lie_type.family == "B":
-        return tuple([Fraction(1)] * (r - 1) + [Fraction(1, 2)])
+        return (2,) * (r - 1) + (1,)
     if lie_type.family == "C":
-        return tuple([Fraction(1, 2)] * (r - 1) + [Fraction(1)])
-    return tuple([Fraction(1)] * r)
-
-
-def _invert_exact(mat) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over the rationals."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(row for row in range(col, n) if aug[row][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for row in range(n):
-            if row != col and aug[row][col] != 0:
-                f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
-    return [row[n:] for row in aug]
+        return (1,) * (r - 1) + (2,)
+    return (2,) * r
 
 
 def is_dominant(w: Weight) -> bool:
@@ -138,40 +132,11 @@ class RootSystem:
         self.lie_type = lie_type
         self.rank = lie_type.rank
         self.cartan = cartan_matrix(lie_type)
-        inv = _invert_exact(self.cartan)
-        self.inverse_cartan = tuple(tuple(row) for row in inv)
-        self.simple_root_norms = tuple(2 * d for d in _half_norms(lie_type))
-        self._half_norms = _half_norms(lie_type)
-
-        # Integerized data.  inverse_cartan = _inv_num / _inv_den;
-        # the Gram matrix of fundamental weights is D @ C^{-1} = _gram_num / _gram_den.
-        self._inv_den = lcm(*[f.denominator for row in inv for f in row])
-        self._inv_num = tuple(
-            tuple(int(f * self._inv_den) for f in row) for row in inv
-        )
-        gram = [[self._half_norms[i] * inv[i][j] for j in range(self.rank)]
-                for i in range(self.rank)]
-        self._gram_den = lcm(*[f.denominator for row in gram for f in row])
-        self._gram_num = tuple(
-            tuple(int(f * self._gram_den) for f in row) for row in gram
-        )
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self._gram_num[i][j] != self._gram_num[j][i]:
-                    raise AssertionError("pairing matrix must be symmetric")
-
+        self.simple_root_norms = _norms(lie_type)
         # Fundamental coordinates of alpha_i = i-th column of the Cartan matrix.
         self.simple_roots = tuple(
             tuple(self.cartan[i][j] for i in range(self.rank))
             for j in range(self.rank)
-        )
-        self.weyl_vector: Weight = (1,) * self.rank
-        # Scaled height functional: height_key(w) is a positive multiple of
-        # the sum of w's simple-root coordinates, so w < v in dominance order
-        # implies height_key(w) < height_key(v).
-        self._height_vec = tuple(
-            sum(self._inv_num[j][i] for j in range(self.rank))
-            for i in range(self.rank)
         )
         self.positive_roots, self.positive_root_coords = self._generate_positive_roots()
         expected = _POSITIVE_COUNTS[lie_type.family](self.rank)
@@ -181,9 +146,29 @@ class RootSystem:
                 f"expected {expected}"
             )
         self._all_nodes = tuple(range(self.rank))
-        # per-chamber (full system or one Levi) precomputed pairing rows,
-        # shared across spec instances since root systems are cached
-        self._chamber_cache: dict = {}
+
+        # Integer tables from the simple-root coordinates c (module docstring).
+        c = np.asarray(self.positive_root_coords, dtype=np.int64)
+        norms = np.asarray(self.simple_root_norms, dtype=np.int64)
+        self._root_pairs = c * norms
+        self._root_pairs.flags.writeable = False
+        inv = (c.T @ c) * norms
+        cartan_inv = np.asarray(self.cartan, dtype=np.int64) @ inv
+        two_h = int(cartan_inv[0, 0])
+        if two_h % 2 or (cartan_inv != two_h * np.eye(self.rank, dtype=np.int64)).any():
+            raise AssertionError(
+                f"{lie_type}: Casimir identity fails, C c^T c D is not 2h I")
+        self.dual_coxeter = two_h // 2
+        # 2 h^vee C^{-1}: column j holds the simple-root coordinates of
+        # 2 h^vee l_j, and 4 h^vee (l_i, l_j) is |alpha_i|^2 times entry [i][j].
+        self.scaled_inverse_cartan = tuple(tuple(row) for row in inv.tolist())
+        self.inverse_cartan = tuple(
+            tuple(Fraction(x, two_h) for x in row)
+            for row in self.scaled_inverse_cartan
+        )
+        row_sums = self._root_pairs.sum(axis=1).tolist()
+        self._max_row_sum = max(row_sums)
+        self._weyl_den = prod(row_sums)
 
     # -- construction helpers -------------------------------------------------
 
@@ -233,21 +218,18 @@ class RootSystem:
         """Invariant pairing <a, b> induced by the Killing form.
 
         Computed as a^T (D C^{-1}) b where C is the Cartan matrix and D the
-        diagonal of simple-root half-norms; symmetric and bilinear.
+        diagonal of simple-root half-norms, in integers over 4 h^vee;
+        symmetric and bilinear.
         """
         if len(a) != self.rank or len(b) != self.rank:
             raise ValueError(f"weights must have length {self.rank}")
-        return Fraction(self._pair_scaled(a, b), self._gram_den)
+        return Fraction(self._pair_scaled(a, b), 4 * self.dual_coxeter)
 
     def _pair_scaled(self, a: Weight, b: Weight) -> int:
-        g = self._gram_num
-        return sum(a[i] * sum(g[i][j] * b[j] for j in range(self.rank))
-                   for i in range(self.rank))
-
-    def _gram_apply(self, w: Weight) -> Weight:
-        g = self._gram_num
-        return tuple(sum(g[i][j] * w[j] for j in range(self.rank))
-                     for i in range(self.rank))
+        """4 h^vee <a, b>, an integer."""
+        return sum(x * n * sum(g * y for g, y in zip(row, b))
+                   for x, n, row in zip(a, self.simple_root_norms,
+                                        self.scaled_inverse_cartan))
 
     # -- Weyl group actions ----------------------------------------------------
 
@@ -292,10 +274,6 @@ class RootSystem:
             frontier = nxt
         return seen
 
-    def height_key(self, w: Weight) -> int:
-        """Monotone-under-dominance integer key (scaled root-lattice height)."""
-        return sum(h * x for h, x in zip(self._height_vec, w))
-
     # -- cone membership ---------------------------------------------------------
 
     def root_cone_level(self, diff: Weight, nodes=None) -> int | None:
@@ -303,10 +281,10 @@ class RootSystem:
         simple roots indexed by ``nodes``; None if diff is not in that cone."""
         nodes = self._all_nodes if nodes is None else nodes
         allowed = set(nodes)
-        den = self._inv_den
+        den = 2 * self.dual_coxeter
         level = 0
-        for i in range(self.rank):
-            num = sum(self._inv_num[i][j] * diff[j] for j in range(self.rank))
+        for i, row in enumerate(self.scaled_inverse_cartan):
+            num = sum(x * y for x, y in zip(row, diff))
             if i not in allowed:
                 if num != 0:
                     return None
@@ -326,27 +304,14 @@ class RootSystem:
         """
         if not is_dominant(w):
             raise ValueError(f"weight {w} is not dominant")
-        two_rho = tuple(2 * x for x in self.weyl_vector)
-        return self._chamber_dim(w, self.positive_roots, two_rho, key=None)
+        return self._weyl_dim(self._root_pairs, self._weyl_den, w)
 
-    def _chamber_rows(self, key, pos_roots, two_rho):
-        """Cached (gram @ alpha, <2 rho, alpha>) per positive root."""
-        data = self._chamber_cache.get(key)
-        if data is None:
-            galphas = [self._gram_apply(alpha) for alpha in pos_roots]
-            dens = [sum(x * y for x, y in zip(two_rho, ga)) for ga in galphas]
-            data = (galphas, dens)
-            self._chamber_cache[key] = data
-        return data
-
-    def _chamber_dim(self, w: Weight, pos_roots, two_rho, key) -> int:
-        galphas, dens = self._chamber_rows(key, pos_roots, two_rho)
-        num = 1
-        den = 1
-        doubled = tuple(2 * x + r for x, r in zip(w, two_rho))
-        for ga, d in zip(galphas, dens):
-            num *= sum(x * y for x, y in zip(doubled, ga))
-            den *= d
+    def _weyl_dim(self, pairs: np.ndarray, den: int, w: Weight) -> int:
+        """prod 2<w + rho, alpha> / den over the rows 2(l_i, alpha) of pairs,
+        den being prod 2<rho, alpha>; rho has every coordinate 1."""
+        if (max(abs(x) for x in w) + 1) * self._max_row_sum >= 2 ** 63:
+            raise ValueError(f"weight {w} is too large for the Weyl dimension")
+        num = prod((pairs @ (np.asarray(w, dtype=np.int64) + 1)).tolist())
         q, r = divmod(num, den)
         if r:
             raise AssertionError("Weyl dimension did not come out integral")
@@ -356,9 +321,8 @@ class RootSystem:
         """Freudenthal multiplicities at the dominant weights of V_w."""
         if not is_dominant(w):
             raise ValueError(f"weight {w} is not dominant")
-        two_rho = tuple(2 * x for x in self.weyl_vector)
         return self._freudenthal(w, self._all_nodes, self.positive_roots,
-                                 two_rho, key=None)
+                                 self._root_pairs)
 
     def weight_system(self, w: Weight) -> dict[Weight, int]:
         """Full weight multiset of V_w, extended from the dominant chamber by
@@ -369,13 +333,15 @@ class RootSystem:
                 out[v] = mult
         return out
 
-    def _freudenthal(self, highest, nodes, pos_roots, two_rho, key) -> dict[Weight, int]:
+    def _freudenthal(self, highest, nodes, pos_roots, pairs) -> dict[Weight, int]:
         """Freudenthal recursion restricted to the (parabolic) dominant chamber.
 
         Works in full fundamental coordinates with the ambient pairing; for a
         Levi subsystem this is legitimate because the orthogonal complement of
         the subsystem's root span pairs to zero with its roots, so every
-        pairing in the recursion only sees the subsystem component.
+        pairing in the recursion only sees the subsystem component, and rho
+        may have every coordinate 1.  ``pairs`` holds the rows 2(l_i, alpha)
+        of ``pos_roots``.
         """
         highest = tuple(highest)
         # Candidate set: all chamber-dominant weights below the highest weight
@@ -398,17 +364,18 @@ class RootSystem:
                         nxt.append(nu)
             frontier = nxt
 
-        galphas, _ = self._chamber_rows(key, pos_roots, two_rho)
-        alpha_sq = [sum(x * y for x, y in zip(a, ga))
-                    for a, ga in zip(pos_roots, galphas)]
-        top_shift = _add(_add(highest, highest), two_rho)  # 2(highest + rho)
+        pairs = pairs.tolist()
+        alpha_sq = [sum(x * y for x, y in zip(a, pa))
+                    for a, pa in zip(pos_roots, pairs)]
+        top_shift = tuple(2 * x + 2 for x in highest)  # 2(highest + rho)
+        scale = 4 * self.dual_coxeter
 
         mults: dict[Weight, int] = {highest: 1}
         dom_cache: dict[Weight, Weight] = {}
         for mu in sorted(cands, key=cands.get)[1:]:
-            rhs = 0
-            for alpha, ga, a2 in zip(pos_roots, galphas, alpha_sq):
-                base = sum(x * y for x, y in zip(mu, ga))
+            rhs = 0  # 2 sum_{alpha, j} m(mu + j alpha) <mu + j alpha, alpha>
+            for alpha, pa, a2 in zip(pos_roots, pairs, alpha_sq):
+                base = sum(x * y for x, y in zip(mu, pa))
                 j = 1
                 nu = _add(mu, alpha)
                 while True:
@@ -423,12 +390,11 @@ class RootSystem:
                     j += 1
                     nu = _add(nu, alpha)
             diff = _sub(highest, mu)
-            lhs = sum(x * y for x, y in
-                      zip(diff, self._gram_apply(_sub(top_shift, diff))))
-            # lhs = <highest+rho,highest+rho> - <mu+rho,mu+rho>, scaled
+            lhs = self._pair_scaled(diff, _sub(top_shift, diff))
+            # lhs = <highest+rho,highest+rho> - <mu+rho,mu+rho>, times 4 h^vee
             if lhs <= 0:
                 raise AssertionError("Freudenthal denominator must be positive")
-            q, r = divmod(2 * rhs, lhs)
+            q, r = divmod(scale * rhs, lhs)
             if r or q <= 0:
                 raise AssertionError("Freudenthal multiplicity must be a positive integer")
             mults[mu] = q
@@ -468,14 +434,12 @@ class LeviSubsystem:
         self.node = node
         self._k = node - 1
         self.nodes = tuple(i for i in range(ambient.rank) if i != self._k)
+        levi = [coord[self._k] == 0 for coord in ambient.positive_root_coords]
         self.positive_roots = tuple(
-            root for root, coord in zip(ambient.positive_roots,
-                                        ambient.positive_root_coords)
-            if coord[self._k] == 0
-        )
-        self.two_rho = (0,) * ambient.rank
-        for alpha in self.positive_roots:
-            self.two_rho = _add(self.two_rho, alpha)
+            root for root, keep in zip(ambient.positive_roots, levi) if keep)
+        self._pairs = ambient._root_pairs[np.asarray(levi)]
+        self._pairs.flags.writeable = False
+        self._weyl_den = prod(self._pairs.sum(axis=1).tolist())
 
     def is_dominant(self, w: Weight) -> bool:
         return all(w[i] >= 0 for i in self.nodes)
@@ -487,8 +451,7 @@ class LeviSubsystem:
         """Dimension of the irreducible Levi module with highest weight w."""
         if not self.is_dominant(w):
             raise ValueError(f"weight {w} is not Levi-dominant")
-        return self.ambient._chamber_dim(w, self.positive_roots, self.two_rho,
-                                         key=self.node)
+        return self.ambient._weyl_dim(self._pairs, self._weyl_den, w)
 
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the Levi-dominant weights of the
@@ -496,7 +459,7 @@ class LeviSubsystem:
         if not self.is_dominant(w):
             raise ValueError(f"weight {w} is not Levi-dominant")
         return self.ambient._freudenthal(w, self.nodes, self.positive_roots,
-                                         self.two_rho, key=self.node)
+                                         self._pairs)
 
     def dual_highest_weight(self, w: Weight) -> Weight:
         """Highest weight of the dual Levi module: the dominant representative

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from cominuscule import plethysm
+from cominuscule import cli, plethysm
 from cominuscule.catalog import quadric
 from cominuscule.cli import main
 
@@ -77,6 +77,13 @@ def test_partitions_verify(capsys):
     assert all(r["formula_l"] == r["oracle_l"] for r in rows)
     assert all(list(r) == ["family", "k", "n", "p", "formula_l", "oracle_l",
                            "witnesses"] for r in rows)
+    # grade bounds: 0 means no grade at all, a negative one is a usage error
+    code, out, _ = run(capsys, "partitions", "verify", "--family", "A",
+                       "--max-p", "0")
+    assert code == 0 and json.loads(out) == []
+    code, out, err = run(capsys, "partitions", "verify", "--family", "A",
+                         "--max-p", "-1")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_table_audit_exit_codes(capsys):
@@ -126,11 +133,28 @@ def test_foliation_bad_args_usage_error(capsys):
     assert "a=9" in err
 
 
-def test_verify_small_run(capsys):
+def test_verify_small_run(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-p", "4")
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and len(data["components"]) == 6
+    # --max-p 0 checks grade 0 only; it used to check every grade
+    grades = set()
+    real = cli.omega_decompose
+
+    def spy(spec, p, method="auto"):
+        grades.add(p)
+        return real(spec, p, method)
+
+    monkeypatch.setattr(cli, "omega_decompose", spy)
+    code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-p", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"]["max_p"] == 0 and grades == {0}
+    assert data["components"][0]["checked"] == 0
+    assert all(c["checked"] for c in data["components"][1:3])
+    code, out, err = run(capsys, "verify", "--max-rank", "3", "--max-p", "-1")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch):

@@ -92,8 +92,10 @@ def test_decompose_rejects_inconsistent_multiset():
     spec = quadric(5)
     entries = omega_p_weights(spec, 2).dominant_entries(spec.levi)
     assert len(entries) >= 2
-    rs = spec.ambient
-    rho = max(entries, key=lambda w: (rs.height_key(w), w))
+    # height: the sum of the simple-root coordinates C^{-1} w
+    inv = spec.ambient.inverse_cartan
+    rho = max(entries, key=lambda w: (
+        sum(x * y for row in inv for x, y in zip(row, w)), w))
     victim = next(w for w in entries if w != rho)
     entries[victim] -= 1
     ws = WeightMultiset.from_entries(2, {w: c for w, c in entries.items() if c})

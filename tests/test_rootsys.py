@@ -4,7 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cominuscule.rootsys import LieType, is_dominant, negate, root_system
+from cominuscule import rootsys
+from cominuscule.catalog import iter_catalog_specs
+from cominuscule.rootsys import (
+    LieType, RootSystem, is_dominant, negate, root_system)
+from cominuscule.twists import h0_dim
 
 TYPES = ["A1", "A2", "A4", "B2", "B3", "C2", "C3", "C4", "D4", "D5", "E6", "E7"]
 
@@ -133,6 +137,61 @@ def test_weyl_dim_minuscule_orbit_cross_check():
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
         root_system("A2").weyl_dim((1, -1))
+
+
+def _weyl_dim_by_pairing(rs, roots, w):
+    """prod <w + rho, alpha> / <rho, alpha> through the Fraction pairing,
+    rho being half the sum of ``roots``."""
+    two_rho = tuple(map(sum, zip(*roots)))
+    num = den = Fraction(1)
+    for alpha in roots:
+        half = rs.pairing(two_rho, alpha) / 2
+        num *= rs.pairing(w, alpha) + half
+        den *= half
+    return num / den
+
+
+CATALOG_7 = list(iter_catalog_specs(7))
+# ambient groups, then the Levi of every catalog space up to rank 7
+WEYL_GROUPS = [root_system(name) for name in ("A3", "B3", "C3", "D4", "E6", "E7")
+               ] + [spec.levi for spec in CATALOG_7]
+
+
+@given(st.sampled_from(WEYL_GROUPS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_weyl_dim_matches_fraction_pairing(group, data):
+    rs = getattr(group, "ambient", group)
+    w = list(data.draw(weights(rs.rank, 0, 4)))
+    if group is not rs:  # a Levi: any marked coefficient
+        w[group.node - 1] = data.draw(st.integers(-8, 8))
+    w = tuple(w)
+    assert group.weyl_dim(w) == _weyl_dim_by_pairing(rs, group.positive_roots, w)
+
+
+def test_weyl_dim_refuses_int64_overflow():
+    # A1: 2<w + rho, alpha> = 2(w + 1) must stay below 2^63
+    a1 = root_system("A1")
+    assert a1.weyl_dim((2 ** 62 - 2,)) == 2 ** 62 - 1
+    with pytest.raises(ValueError, match="too large"):
+        a1.weyl_dim((2 ** 62 - 1,))
+    e7 = root_system("E7")
+    with pytest.raises(ValueError, match="too large"):
+        e7.weyl_dim((2 ** 60,) + (0,) * 6)
+    spec = CATALOG_7[0]
+    with pytest.raises(ValueError, match="too large"):
+        spec.levi.weyl_dim((0,) * (spec.ambient.rank - 1) + (2 ** 62,))
+    # a twist far past any section space of interest
+    for spec in CATALOG_7:
+        with pytest.raises(ValueError, match="too large"):
+            h0_dim(spec, spec.cotangent_weight, 2 ** 63)
+
+
+@pytest.mark.parametrize("name,norms", [
+    ("B3", (2, 2, 2)), ("B3", (1, 1, 2)), ("C3", (2, 2, 1)), ("A3", (2, 2, 1))])
+def test_wrong_norms_fail_the_casimir_check(monkeypatch, name, norms):
+    monkeypatch.setattr(rootsys, "_norms", lambda lie_type: norms)
+    with pytest.raises(AssertionError, match="Casimir"):
+        RootSystem(LieType(name[0], int(name[1:])))
 
 
 def test_weyl_orbit_small():
