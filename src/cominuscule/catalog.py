@@ -19,11 +19,17 @@ from the root system, never copied from a table; ``check_table1`` compares
 the recomputation against the hard-coded reference values.  Isomorphic
 small cases (``IG:2`` vs ``Q:3``, ``OG:4`` vs ``Q:6``, ...) are distinct
 specs on purpose: formulas are stated per presentation.
+
+Specs are immutable and shared, and so are their root systems and Levis:
+each constructor returns the one spec built for its parameters, keeping up
+to ``SPEC_CACHE_SIZE`` of them, so ``parse_space("G:2:5") is
+grassmannian(2, 5)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .rootsys import (
@@ -82,6 +88,12 @@ def nilradical_roots(spec: GrassmannianSpec) -> list[Weight]:
     return out
 
 
+# The catalog has 40 specs up to rank 7 and 48 up to rank 8; the cap leaves
+# room for wider sweeps while bounding what a sweep over many spaces keeps.
+SPEC_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _build(family: str, params: tuple[int, ...], name: str,
            ambient: RootSystem, node: int) -> GrassmannianSpec:
     k = node - 1
@@ -97,7 +109,7 @@ def _build(family: str, params: tuple[int, ...], name: str,
         raise AssertionError(f"{name}: sum of nilradical roots is not along the marked node")
     c1 = total[k]
     cotangent = negate(ambient.simple_roots[k])
-    spec = GrassmannianSpec(
+    return GrassmannianSpec(
         family=family,
         params=params,
         name=name,
@@ -108,7 +120,6 @@ def _build(family: str, params: tuple[int, ...], name: str,
         ambient=ambient,
         levi=LeviSubsystem(ambient, node),
     )
-    return spec
 
 
 def grassmannian(k: int, n: int) -> GrassmannianSpec:

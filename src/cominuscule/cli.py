@@ -170,7 +170,7 @@ def _verify_paths(max_rank: int, max_p, jobs: int) -> dict:
                     "dp": [list(w) for w in dp.weights()]}
         return None
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(check, tasks))
     failures = [r for r in results if r is not None]
     return _component("fast path vs weight engine", len(tasks), failures)
@@ -256,7 +256,10 @@ def run_verify(max_rank: int = 6, families=("A", "C", "D"), max_p=None,
         raise ValueError("--max-rank must be at least 2")
     if max_p is not None and max_p < 0:
         raise ValueError("--max-p must be nonnegative")
-    jobs = jobs or min(8, os.cpu_count() or 1)
+    if jobs is None:
+        jobs = min(8, os.cpu_count() or 1)
+    elif jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     components = [
         _verify_partitions(max_rank, families, max_p),
         _verify_paths(max_rank, max_p, jobs),

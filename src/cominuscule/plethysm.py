@@ -16,13 +16,18 @@ Three routes produce the same answer and are tested against each other:
 Both steps of the engine work on numpy integer arrays: the DP states are
 packed into int64 words (7 coordinates per word), and the Klimyk pass
 reflects the int16 weight rows.  On
-every space the engine computes grades up to ceil(dim/2) directly and
+every space the engine computes grades up to floor(dim/2) directly and
 derives the upper half of the exterior algebra through the duality
 ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
+
+Answers are cached per (space, p, route) in one bounded cache, so a forced
+engine answer is never served from a fast-path entry or the reverse; the
+rank identity is checked on every call, cached or not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -240,8 +245,10 @@ def _exterior_tables(vectors: Sequence[Weight], max_grade: int):
     return out
 
 
+# DP tables per space name, with the grade they reach: one entry per space
+# the engine has run on, unbounded.  E7's tables take 0.12 s to build, and a
+# bound would rebuild them whenever other engine spaces pushed them out.
 _DP_CACHE: dict[str, tuple[int, list]] = {}
-_DECOMP_CACHE: dict[tuple[str, int], tuple[IrreducibleSummand, ...]] = {}
 
 
 def _tables_for(spec: GrassmannianSpec, max_grade: int):
@@ -249,7 +256,7 @@ def _tables_for(spec: GrassmannianSpec, max_grade: int):
     if cached is not None and cached[0] >= max_grade:
         return cached[1]
     # One pass serves all later grades; the upper half comes from duality.
-    horizon = max(max_grade, (spec.dim + 1) // 2)
+    horizon = max(max_grade, spec.dim // 2)
     weights = [negate(r) for r in nilradical_roots(spec)]
     tables = _exterior_tables(weights, horizon)
     _DP_CACHE[spec.name] = (horizon, tables)
@@ -419,19 +426,14 @@ def _dual_summand(spec: GrassmannianSpec, s: IrreducibleSummand, p_dual: int
 
 
 def _dp_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:
-    key = (spec.name, p)
-    hit = _DECOMP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if p > (spec.dim + 1) // 2:
-        base = _dp_summands(spec, spec.dim - p)
-        summands = tuple(sorted(
+    """Engine summands of grade p: decomposed directly up to dim // 2, above
+    it dual to the cached engine answer of grade dim - p."""
+    if p > spec.dim // 2:
+        base = _route_summands(spec, spec.dim - p, "WeightDP")
+        return tuple(sorted(
             (_dual_summand(spec, s, p) for s in base),
             key=lambda s: s.highest_weight, reverse=True))
-    else:
-        summands = tuple(decompose(omega_p_weights(spec, p), spec))
-    _DECOMP_CACHE[key] = summands
-    return summands
+    return tuple(decompose(omega_p_weights(spec, p), spec))
 
 
 # -- fast paths --------------------------------------------------------------------
@@ -498,6 +500,26 @@ def hooks_decompose(spec: GrassmannianSpec, p: int
 
 # -- the public decomposition entry point -------------------------------------------
 
+# verify --max-rank 7 fills 671 answers and the query-mix benchmark 542; the
+# cap leaves room for both while bounding what a long-running process keeps.
+ANSWER_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ANSWER_CACHE_SIZE)
+def _route_summands(spec: GrassmannianSpec, p: int, route: str
+                    ) -> tuple[IrreducibleSummand, ...]:
+    """Summands of grade p by one route, computed once per (spec, p, route).
+
+    The route is part of the key, so the engine's answer is never served
+    for a fast path or the reverse.  Threads missing the same key may both
+    compute it; the answers are equal.
+    """
+    if route == "CauchyA":
+        return tuple(s for _, s in cauchy_decompose(*spec.params, p))
+    if route in ("HooksC", "HooksD"):
+        return tuple(s for _, s in hooks_decompose(spec, p))
+    return _dp_summands(spec, p)
+
 
 def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
                     ) -> DecompositionReport:
@@ -515,13 +537,7 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
         "spinor": "HooksD",
     }.get(spec.family, "WeightDP")
 
-    if chosen == "CauchyA":
-        summands = tuple(s for _, s in cauchy_decompose(*spec.params, p))
-    elif chosen in ("HooksC", "HooksD"):
-        summands = tuple(s for _, s in hooks_decompose(spec, p))
-    else:
-        summands = _dp_summands(spec, p)
-
+    summands = _route_summands(spec, p, chosen)
     report = DecompositionReport(spec=spec, p=p, summands=summands, method=chosen)
     expected, got = report.rank_identity()
     if expected != got:

@@ -41,7 +41,7 @@ from cominuscule.partitions import (
     min_twist_lagr_oracle,
     min_twist_spinor_oracle,
 )
-from cominuscule.plethysm import _DECOMP_CACHE, _DP_CACHE, omega_decompose
+from cominuscule.plethysm import _DP_CACHE, _route_summands, omega_decompose
 from cominuscule.twists import h0_dim, min_twist, nonvanishing_scan, table_audit
 
 GIB = 2 ** 30
@@ -110,11 +110,10 @@ def test_criterion_01_e6_table_reproduction():
 
 
 def test_criterion_02_e7_table_reproduction():
-    # start from cold E7 caches, so the horizon below is this audit's own and
-    # not one left by an earlier test
+    # start from no E7 tables and no cached answers, so the horizon below is
+    # this audit's own and not one left by an earlier test
     _DP_CACHE.pop("E7", None)
-    for key in [k for k in _DECOMP_CACHE if k[0] == "E7"]:
-        del _DECOMP_CACHE[key]
+    _route_summands.cache_clear()
     t0 = time.monotonic()
     audit = table_audit("E7")
     elapsed = time.monotonic() - t0

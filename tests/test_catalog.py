@@ -1,5 +1,6 @@
 import pytest
 
+from cominuscule import catalog
 from cominuscule.catalog import (
     cayley,
     check_table1,
@@ -128,9 +129,11 @@ def test_parse_space_grammar():
 
 @pytest.mark.parametrize("bad", ["G:0:5", "G:5", "Q:2", "IG:1", "X:3", "E8", "G:2:x"])
 def test_parse_space_diagnostics(bad):
-    with pytest.raises(ValueError) as err:
-        parse_space(bad)
-    assert bad.split(":")[0] in str(err.value) or bad in str(err.value)
+    # refused on every call: no failure is cached
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            parse_space(bad)
+        assert bad.split(":")[0] in str(err.value) or bad in str(err.value)
 
 
 def test_iter_catalog_is_deterministic_and_rank_bounded():
@@ -144,3 +147,28 @@ def test_iter_catalog_is_deterministic_and_rank_bounded():
         assert s.ambient.rank <= 5
     with pytest.raises(ValueError):
         list(iter_catalog_specs(1))
+
+
+def test_each_space_is_built_once():
+    assert parse_space("G:2:5") is grassmannian(2, 5)
+    assert make_spec("grassmannian", 2, 5) is grassmannian(2, 5)
+    assert parse_space("Q:7") is quadric(7) is make_spec("quadric_odd", 7)
+    assert parse_space("IG:4") is lagrangian(4)
+    assert parse_space("OG:5") is spinor(5)
+    assert parse_space("e6") is cayley()
+    assert parse_space("E7") is freudenthal()
+
+
+def test_spec_cache_stays_within_its_cap():
+    cache = catalog._build
+    assert cache.cache_info().maxsize == catalog.SPEC_CACHE_SIZE == 256
+    cache.cache_clear()
+    built = 0
+    n = 1
+    while built <= catalog.SPEC_CACHE_SIZE:
+        n += 1
+        for k in range(1, n):
+            grassmannian(k, n)
+            built += 1
+    assert cache.cache_info().currsize == catalog.SPEC_CACHE_SIZE
+    cache.cache_clear()

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from cominuscule import cli, plethysm
+from cominuscule import catalog, cli, plethysm, rootsys
 from cominuscule.catalog import quadric
 from cominuscule.cli import main
 
@@ -155,11 +155,17 @@ def test_verify_small_run(capsys, monkeypatch):
     assert all(c["checked"] for c in data["components"][1:3])
     code, out, err = run(capsys, "verify", "--max-rank", "3", "--max-p", "-1")
     assert code == 2 and out == "" and err.startswith("error: ")
+    # --jobs below 1 is a usage error; -3 used to run one thread and exit 0
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--max-rank", "2", "--jobs", jobs)
+        assert code == 2 and out == "", jobs
+        assert err == "error: --jobs must be at least 1\n", jobs
 
 
-def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch):
+def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers):
     # drop one summand of one engine decomposition: verify must list the
-    # (space, p) with both sums and exit 1, not stop with an internal error
+    # (space, p) with both sums and exit 1, not stop with an internal error;
+    # grade 3 of Q:5 is the dual of grade 2, so it inherits the loss
     real = plethysm._dp_summands
 
     def lossy(spec, p):
@@ -173,7 +179,9 @@ def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch):
     rank = components.pop("rank identity")
     dropped = real(quadric(5), 2)[0].levi_dim
     assert rank["failures"] == [{"space": "Q:5", "p": 2, "expected": comb(5, 2),
-                                 "got": comb(5, 2) - dropped}]
+                                 "got": comb(5, 2) - dropped},
+                                {"space": "Q:5", "p": 3, "expected": comb(5, 3),
+                                 "got": comb(5, 3) - dropped}]
     assert all(c["ok"] for c in components.values())
 
 
@@ -186,6 +194,17 @@ def test_output_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+    # caching changes no output: a run from empty caches and a second run
+    # served from what the first one cached print the same JSON
+    rootsys.root_system.cache_clear()
+    catalog._build.cache_clear()
+    plethysm._route_summands.cache_clear()
+    plethysm._DP_CACHE.clear()
+    args = ["verify", "--max-rank", "4"]
+    code, cold, _ = run(capsys, *args)
+    hits = plethysm._route_summands.cache_info().hits
+    assert run(capsys, *args) == (code, cold, "")
+    assert plethysm._route_summands.cache_info().hits > hits
 
 
 def test_out_file(tmp_path, capsys):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from cominuscule import plethysm
 from cominuscule.catalog import (
     cayley,
     freudenthal,
@@ -210,17 +211,28 @@ def test_rank_identity_cayley_all_grades():
 
 
 def test_duality_shortcut_matches_direct_dp():
-    # grades above the halfway point are derived by duality on every engine
-    # space; recompute them directly from the weight multiset and compare
-    cases = [(freudenthal(), [20])]
+    # grades above dim // 2 are derived by duality on every engine space;
+    # recompute them directly from the weight multiset and compare (E7's
+    # grade 14 is the dual of grade 13 in the middle of its odd dimension)
+    cases = [(freudenthal(), [14, 20])]
     for spec in [cayley(), quadric(12), quadric(13), grassmannian(3, 7),
                  lagrangian(4), spinor(5)]:
-        cases.append((spec, range((spec.dim + 1) // 2 + 1, spec.dim + 1)))
+        cases.append((spec, range(spec.dim // 2 + 1, spec.dim + 1)))
     for spec, grades in cases:
         for p in grades:
             direct = tuple(decompose(omega_p_weights(spec, p), spec))
             via_duality = omega_decompose(spec, p, method="WeightDP")
             assert via_duality.summands == direct, (spec.name, p)
+
+
+def test_engine_stops_at_half_the_dimension(cold_answers):
+    # every grade of an engine space is answered from DP tables that reach
+    # grade dim // 2 and no further
+    for spec in (quadric(5), quadric(6), lagrangian(3)):
+        plethysm._DP_CACHE.pop(spec.name, None)
+        for p in range(spec.dim + 1):
+            omega_decompose(spec, p, method="WeightDP")
+        assert plethysm._DP_CACHE[spec.name][0] == spec.dim // 2, spec.name
 
 
 @pytest.mark.parametrize("spec,top", [
@@ -270,3 +282,80 @@ def test_report_sorted_descending():
         for p in (4, 5):
             ws = omega_decompose(spec, p).weights()
             assert list(ws) == sorted(ws, reverse=True)
+
+
+def _spy_routes(monkeypatch):
+    """Record (route, p) for every fast-path and engine run."""
+    ran = []
+    for name, route in (("cauchy_decompose", "CauchyA"),
+                        ("hooks_decompose", "Hooks"),
+                        ("_dp_summands", "WeightDP")):
+        def spy(*args, _real=getattr(plethysm, name), _route=route):
+            ran.append((_route, args[-1]))
+            return _real(*args)
+
+        monkeypatch.setattr(plethysm, name, spy)
+    return ran
+
+
+def test_answer_cache_runs_each_fast_path_once(monkeypatch, cold_answers):
+    ran = _spy_routes(monkeypatch)
+    for spec in (grassmannian(3, 6), lagrangian(3), spinor(5)):
+        first = omega_decompose(spec, 4)
+        assert omega_decompose(spec, 4) == first
+    assert ran == [("CauchyA", 4), ("Hooks", 4), ("Hooks", 4)]
+
+
+def test_answer_cache_keeps_routes_apart(monkeypatch, cold_answers):
+    # a forced engine answer is never served from a fast-path entry, nor the
+    # reverse, so verify's cross-check never compares an answer with itself
+    for spec, fast in ((grassmannian(3, 6), "CauchyA"), (lagrangian(3), "Hooks"),
+                       (spinor(5), "Hooks")):
+        ran = _spy_routes(monkeypatch)
+        omega_decompose(spec, 2)
+        omega_decompose(spec, 2, method="WeightDP")
+        omega_decompose(spec, 3, method="WeightDP")
+        omega_decompose(spec, 3)
+        assert ran == [(fast, 2), ("WeightDP", 2), ("WeightDP", 3), (fast, 3)], \
+            spec.name
+        monkeypatch.undo()
+
+
+def test_rank_identity_checked_on_cached_answers(monkeypatch, cold_answers):
+    # the check sits outside the cache: a cached answer that lost a summand
+    # fails on every call, not only on the one that computed it
+    real = plethysm._dp_summands
+    runs = []
+
+    def lossy(spec, p):
+        runs.append(p)
+        return real(spec, p)[1:]
+
+    monkeypatch.setattr(plethysm, "_dp_summands", lossy)
+    for _ in range(2):
+        with pytest.raises(plethysm.RankIdentityError):
+            omega_decompose(quadric(6), 3)
+    assert runs == [3]
+
+
+def test_out_of_range_p_is_refused_on_every_call():
+    for _ in range(2):
+        for spec, p in ((grassmannian(2, 5), 7), (quadric(5), -1), (cayley(), 17)):
+            for method in ("auto", "WeightDP"):
+                with pytest.raises(ValueError):
+                    omega_decompose(spec, p, method=method)
+
+
+def test_answer_cache_stays_within_its_cap(cold_answers):
+    cache = plethysm._route_summands
+    assert cache.cache_info().maxsize == plethysm.ANSWER_CACHE_SIZE == 4096
+    asked = set()
+    n = 1
+    while len(asked) <= plethysm.ANSWER_CACHE_SIZE:
+        n += 1
+        for k in range(1, n):
+            spec = grassmannian(k, n)
+            for p in range(min(spec.dim, 8) + 1):
+                omega_decompose(spec, p)
+                asked.add((spec.name, p))
+    assert cache.cache_info().currsize == plethysm.ANSWER_CACHE_SIZE
