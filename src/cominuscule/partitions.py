@@ -29,15 +29,6 @@ COST_C = "mu1"
 COST_D = "mu1+mu2"
 
 
-def as_partition(parts) -> Partition:
-    mu = tuple(int(x) for x in parts if x)
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError(f"{parts} is not weakly decreasing")
-    if any(x < 0 for x in mu):
-        raise ValueError(f"{parts} has negative parts")
-    return mu
-
-
 def dual(mu: Partition) -> Partition:
     """Conjugate partition: (mu')_j counts the rows with mu_i >= j."""
     if not mu:
@@ -74,7 +65,7 @@ def partitions_in_box(size: int, max_rows: int, max_width: int) -> Iterator[Part
     if size == 0:
         yield ()
         return
-    if max_rows <= 0 or max_width <= 0:
+    if size > max_rows * max_width:  # also covers an empty box
         return
     for first in range(min(size, max_width), 0, -1):
         for rest in partitions_in_box(size - first, max_rows - 1, first):

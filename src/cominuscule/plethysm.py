@@ -13,12 +13,13 @@ Three routes produce the same answer and are tested against each other:
   vectorized pass of Levi reflections.  This is the only route for the
   exceptional spaces and the quadrics.
 
-Both steps of the engine work on numpy integer arrays: the DP states are
-packed into int64 words (7 coordinates per word), and the Klimyk pass
-reflects the int16 weight rows.  On
-every space the engine computes grades up to floor(dim/2) directly and
-derives the upper half of the exterior algebra through the duality
-``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
+Both steps of the engine work on numpy integer arrays and share one weight
+encoding: a row is one int64 mixed-radix key in a box of weights (``_radix``;
+a space whose box does not fit 64 bits is refused before any allocation).
+The DP adds roots to keys, and the Klimyk pass reflects the int16 weight
+rows.  On every space the engine computes grades up to floor(dim/2)
+directly and derives the upper half of the exterior algebra through the
+duality ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
 
 Answers are cached per (space, p, route) in one bounded cache, so a forced
 engine answer is never served from a fast-path entry or the reverse; the
@@ -36,10 +37,6 @@ import numpy as np
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
 from .rootsys import Weight, negate
-
-# int64 packing uses one byte per coordinate; coordinate magnitudes are sums
-# of at most dim X root coordinates, far below the 127 guard.
-_PACK_BOUND = 120
 
 
 class DecompositionError(RuntimeError):
@@ -173,94 +170,92 @@ def _make_summand(spec: GrassmannianSpec, weight: Weight, p: int) -> Irreducible
 # -- subset-sum dynamic program ---------------------------------------------------
 
 
-def _group_words(words: np.ndarray, counts: np.ndarray):
-    """Deduplicate integer rows (packed words or weights), summing counts
-    of equal rows."""
-    if words.shape[1] == 1:
-        order = np.argsort(words[:, 0], kind="stable")
-    else:
-        order = np.lexsort(words.T)
-    words = words[order]
+def _radix(lo: np.ndarray, hi: np.ndarray, name: str) -> np.ndarray:
+    """Place values of a mixed-radix int64 key, injective on integer rows
+    inside the box lo..hi: the key of a row w is ``(w - lo) @ place``.  The
+    last coordinate is the most significant, so sorting keys sorts rows the
+    way the DP emits them."""
+    place = [1]
+    for span in (hi - lo + 1).tolist():
+        place.append(place[-1] * span)
+    if place[-1] >= 2 ** 63:
+        raise DecompositionError(
+            f"{name}: weight box of {place[-1]} points does not fit a 64-bit key")
+    return np.asarray(place[:-1], dtype=np.int64)
+
+
+def _encode(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """Keys of integer rows inside the box from lo, column by column (a
+    single matrix product would hold an int64 copy of every row)."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for j, p in enumerate(place.tolist()):
+        keys += (rows[:, j] - lo[j]) * p
+    return keys
+
+
+def _decode(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int16 rows of the keys of the box lo..hi, least significant first."""
+    rows = np.empty((len(keys), len(lo)), dtype=np.int16)
+    for j, span in enumerate((hi - lo + 1).tolist()):
+        keys, digit = np.divmod(keys, span)
+        rows[:, j] = digit + lo[j]
+    return rows
+
+
+def _group(keys: np.ndarray, counts: np.ndarray):
+    """Sort int64 keys, summing the counts of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     counts = counts[order]
-    head = np.empty(len(counts), dtype=bool)
+    head = np.empty(len(keys), dtype=bool)
     head[:1] = True
-    np.any(words[1:] != words[:-1], axis=1, out=head[1:])
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
     idx = np.flatnonzero(head)
-    return words[idx], np.add.reduceat(counts, idx)
+    return keys[idx], np.add.reduceat(counts, idx)
 
 
-def _exterior_tables(vectors: Sequence[Weight], max_grade: int):
+def _exterior_tables(vectors: Sequence[Weight], max_grade: int, name: str):
     """Weight multisets of all exterior powers up to max_grade.
 
-    0/1-knapsack over the given weight vectors.  States pack 7 coordinates
-    per int64 word (offset 128, one byte each); since every partial-sum
-    coordinate stays far inside a byte, word addition never carries across
-    coordinate boundaries, so shifting a whole state by one root is a single
-    vectorized add.  Returns per grade a pair (rows, counts) with rows an
-    int64 array of weight coordinates.
+    0/1-knapsack over the given weight vectors.  Every partial sum lies in
+    the box whose bounds are, per coordinate, the sums of the negative and of
+    the positive entries; a state is its ``_radix`` key in that box, so
+    adding a vector is adding one precomputed scalar.  Returns per grade a
+    pair (rows, counts), rows int16 sorted by key.
     """
     if not vectors:
         return [(np.zeros((1, 0), dtype=np.int16), np.ones(1, dtype=np.int64))]
-    rank = len(vectors[0])
     arr = np.asarray(vectors, dtype=np.int64)
-    if np.abs(arr).sum(axis=0).max() >= _PACK_BOUND:
-        raise AssertionError("weight coordinates too large for byte packing")
-    nwords = -(-rank // 7)
-
-    def pack(rows: np.ndarray) -> np.ndarray:
-        words = np.zeros((len(rows), nwords), dtype=np.int64)
-        for j in range(rank):
-            words[:, j // 7] += rows[:, j] << (8 * (j % 7))
-        return words
-
-    deltas = pack(arr)
-    zero = np.zeros((1, nwords), dtype=np.int64)
-    for j in range(rank):
-        zero[0, j // 7] += 128 << (8 * (j % 7))
+    lo = np.minimum(arr, 0).sum(axis=0)
+    hi = np.maximum(arr, 0).sum(axis=0)
+    place = _radix(lo, hi, name)
+    deltas = (arr @ place).tolist()
 
     states: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (max_grade + 1)
-    states[0] = (zero, np.ones(1, dtype=np.int64))
-    for j in range(len(arr)):
-        d = deltas[j]
-        top = min(j, max_grade - 1)
-        for g in range(top, -1, -1):
-            if states[g] is None:
-                continue
-            words, counts = states[g]
+    states[0] = (np.asarray([-lo @ place]), np.ones(1, dtype=np.int64))
+    for j, d in enumerate(deltas):
+        for g in range(min(j, max_grade - 1), -1, -1):
+            keys, counts = states[g]
             if states[g + 1] is None:
-                states[g + 1] = (words + d, counts.copy())
+                states[g + 1] = (keys + d, counts.copy())
             else:
-                w2, n2 = states[g + 1]
-                states[g + 1] = _group_words(
-                    np.concatenate([w2, words + d]),
-                    np.concatenate([n2, counts]),
-                )
-    out = []
-    for g in range(max_grade + 1):
-        words, counts = states[g]
-        rows = np.empty((len(counts), rank), dtype=np.int16)
-        for j in range(rank):
-            rows[:, j] = ((words[:, j // 7] >> (8 * (j % 7))) & 255) - 128
-        out.append((rows, counts))
-    return out
+                k2, n2 = states[g + 1]
+                states[g + 1] = _group(np.concatenate([k2, keys + d]),
+                                       np.concatenate([n2, counts]))
+    return [(_decode(keys, lo, hi), counts) for keys, counts in states]
 
 
-# DP tables per space name, with the grade they reach: one entry per space
-# the engine has run on, unbounded.  E7's tables take 0.12 s to build, and a
-# bound would rebuild them whenever other engine spaces pushed them out.
-_DP_CACHE: dict[str, tuple[int, list]] = {}
+# verify --max-rank 7 builds tables for 38 spaces and the query-mix benchmark
+# for 15; the cap keeps every one of them (E7's take 0.1 s to build) while
+# bounding what a sweep over many spaces keeps.
+DP_CACHE_SIZE = 64
 
 
-def _tables_for(spec: GrassmannianSpec, max_grade: int):
-    cached = _DP_CACHE.get(spec.name)
-    if cached is not None and cached[0] >= max_grade:
-        return cached[1]
-    # One pass serves all later grades; the upper half comes from duality.
-    horizon = max(max_grade, spec.dim // 2)
+@lru_cache(maxsize=DP_CACHE_SIZE)
+def _tables(spec: GrassmannianSpec, horizon: int):
+    """DP tables of one space up to grade ``horizon``."""
     weights = [negate(r) for r in nilradical_roots(spec)]
-    tables = _exterior_tables(weights, horizon)
-    _DP_CACHE[spec.name] = (horizon, tables)
-    return tables
+    return _exterior_tables(weights, horizon, spec.name)
 
 
 def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
@@ -268,40 +263,21 @@ def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
     all sums of p distinct negated nilradical roots."""
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
-    rows, counts = _tables_for(spec, p)[p]
+    # One table to dim // 2 serves every engine grade; the upper half comes
+    # from duality, so only direct calls above it build a second table.
+    rows, counts = _tables(spec, max(p, spec.dim // 2))[p]
     ws = WeightMultiset(grade=p, _rows=rows, _counts=counts)
     if ws.total() != comb(spec.dim, p):
-        raise AssertionError(f"{spec.name}: weight DP lost mass at grade {p}")
+        raise DecompositionError(f"{spec.name}: weight DP lost mass at grade {p}")
     return ws
 
 
 # -- Klimyk's formula ---------------------------------------------------------------
 
 
-def _radix(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and place values of a mixed-radix int64 key, injective on
-    int16 rows inside the box spanned by ``rows``.  The last coordinate is
-    the most significant, so the key orders rows as the DP emits them."""
-    lo = rows.min(axis=0).astype(np.int64)
-    place = [1]
-    for span in (rows.max(axis=0) - lo + 1).tolist():
-        place.append(place[-1] * span)
-    if place[-1] >= 2 ** 63:
-        raise DecompositionError(
-            f"weight box of {place[-1]} points does not fit a 64-bit key")
-    return lo, np.asarray(place[:-1], dtype=np.int64)
-
-
-def _keys(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
-    key = np.zeros(len(rows), dtype=np.int64)
-    for j in range(rows.shape[1]):
-        key += (rows[:, j] - lo[j]) * place[j]
-    return key
-
-
 def _check_levi_invariant(spec: GrassmannianSpec, rows: np.ndarray,
-                          counts: np.ndarray, keys: np.ndarray,
-                          lo: np.ndarray, place: np.ndarray) -> None:
+                          counts: np.ndarray, keys: np.ndarray, lo: np.ndarray,
+                          hi: np.ndarray, place: np.ndarray) -> None:
     """Raise unless every Levi simple reflection maps the rows onto
     themselves with equal counts (rows sorted by strictly increasing key).
 
@@ -311,7 +287,6 @@ def _check_levi_invariant(spec: GrassmannianSpec, rows: np.ndarray,
     by |mu_i|, every row must sit opposite its own image.
     """
     alpha = spec.ambient.simple_roots
-    hi = rows.max(axis=0)
     for i in spec.levi.nodes:
         broken = f"{spec.name}: weight multiset is not invariant under s_{i + 1}"
         col = rows[:, i]
@@ -364,14 +339,15 @@ def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSum
     if reach * (1 + int(np.abs(alpha).max())) > np.iinfo(np.int16).max:
         raise DecompositionError(f"{spec.name}: weights too large for int16")
 
-    lo, place = _radix(rows)
-    keys = _keys(rows, lo, place)
+    lo, hi = rows.min(axis=0).astype(np.int64), rows.max(axis=0).astype(np.int64)
+    place = _radix(lo, hi, spec.name)
+    keys = _encode(rows, lo, place)
     if not (keys[1:] > keys[:-1]).all():
         order = np.argsort(keys, kind="stable")
         keys, rows, counts = keys[order], rows[order], counts[order]
         if not (keys[1:] > keys[:-1]).all():
             raise DecompositionError(f"{spec.name}: repeated weight rows")
-    _check_levi_invariant(spec, rows, counts, keys, lo, place)
+    _check_levi_invariant(spec, rows, counts, keys, lo, hi, place)
 
     cols = np.asarray(levi.nodes, dtype=np.intp)
     rho = np.ones(spec.ambient.rank, dtype=np.int16)
@@ -392,7 +368,13 @@ def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSum
         y, c, levi_part = y[go], -c[go], levi_part[go]
         first = negative[go].argmax(axis=1)
         y -= levi_part[np.arange(len(c)), first][:, None] * alpha[cols[first]]
-    lam, mult = _group_words(np.concatenate(done_y) - rho, np.concatenate(done_c))
+    # The dominant rows span a box at most a third of the DP's on every
+    # catalog space up to rank 8, so their keys fit wherever the DP's do.
+    done = np.concatenate(done_y) - rho
+    lo, hi = done.min(axis=0).astype(np.int64), done.max(axis=0).astype(np.int64)
+    place = _radix(lo, hi, spec.name)
+    keys, mult = _group(_encode(done, lo, place), np.concatenate(done_c))
+    lam = _decode(keys, lo, hi)
     if (mult < 0).any():
         raise DecompositionError(
             f"{spec.name}, p={ws.grade}: negative multiplicity "

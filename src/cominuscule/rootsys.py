@@ -173,44 +173,33 @@ class RootSystem:
     # -- construction helpers -------------------------------------------------
 
     def _generate_positive_roots(self):
-        """All positive roots by string closure from the simple roots.
+        """All positive roots by reflection closure from the simple roots.
 
-        Roots are produced by height; alpha + alpha_i is a root iff the
-        i-string through alpha descends further than <alpha, alpha_i^vee>.
+        For a positive root beta with <beta, alpha_i^vee> = -m < 0, s_i beta
+        = beta + m alpha_i is a positive root of greater height, and every
+        positive root arises from a simple root by such steps (Humphreys,
+        Introduction to Lie Algebras and Representation Theory, 10.2-10.3).
+        A step can raise the height by 2 (types B and C), so duplicates are
+        caught across all levels.  Sorted by (height, coordinates).
         """
-        coords = {}  # simple-root coordinates -> fundamental coordinates
-        level = []
-        for i in range(self.rank):
-            c = tuple(1 if j == i else 0 for j in range(self.rank))
-            coords[c] = self.simple_roots[i]
-            level.append(c)
+        r = self.rank
+        coords = {tuple(int(i == j) for j in range(r)): w
+                  for i, w in enumerate(self.simple_roots)}
+        level = list(coords)
         while level:
             nxt = []
             for c in level:
                 w = coords[c]
-                for i in range(self.rank):
-                    # length of the descending i-string from this root
-                    down = 0
-                    probe = list(c)
-                    while True:
-                        probe[i] -= 1
-                        t = tuple(probe)
-                        if any(x < 0 for x in t) or (t not in coords and any(t)):
-                            break
-                        down += 1
-                        if not any(t):
-                            break
-                    if down - w[i] > 0:
-                        c2 = tuple(x + (1 if j == i else 0) for j, x in enumerate(c))
+                for i, m in enumerate(w):
+                    if m < 0:
+                        c2 = c[:i] + (c[i] - m,) + c[i + 1:]
                         if c2 not in coords:
-                            coords[c2] = _add(w, self.simple_roots[i])
+                            coords[c2] = tuple(
+                                x - m * y for x, y in zip(w, self.simple_roots[i]))
                             nxt.append(c2)
             level = nxt
         ordered = sorted(coords, key=lambda c: (sum(c), c))
-        return (
-            tuple(coords[c] for c in ordered),
-            tuple(ordered),
-        )
+        return tuple(coords[c] for c in ordered), tuple(ordered)
 
     # -- exact pairing ---------------------------------------------------------
 
@@ -470,7 +459,12 @@ class LeviSubsystem:
         return f"LeviSubsystem({self.ambient.lie_type}, node={self.node})"
 
 
-@lru_cache(maxsize=None)
+# verify --max-rank 7 and the query-mix benchmark each build about 30 root
+# systems; the cap keeps all of them while bounding what a sweep keeps.
+ROOT_SYSTEM_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
 def root_system(family: str, rank: int | None = None) -> RootSystem:
     """Cached root-system factory.  Accepts ('A', 4) or 'E6' style arguments."""
     if rank is None:

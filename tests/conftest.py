@@ -10,3 +10,19 @@ def cold_answers():
     plethysm._route_summands.cache_clear()
     yield
     plethysm._route_summands.cache_clear()
+
+
+@pytest.fixture
+def dp_horizons(monkeypatch):
+    """Empty the DP table cache, then record per space name the grade each
+    new DP table is built to."""
+    plethysm._tables.cache_clear()
+    built: dict[str, list[int]] = {}
+    real = plethysm._exterior_tables
+
+    def recording(vectors, max_grade, name):
+        built.setdefault(name, []).append(max_grade)
+        return real(vectors, max_grade, name)
+
+    monkeypatch.setattr(plethysm, "_exterior_tables", recording)
+    return built

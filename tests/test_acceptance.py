@@ -41,7 +41,7 @@ from cominuscule.partitions import (
     min_twist_lagr_oracle,
     min_twist_spinor_oracle,
 )
-from cominuscule.plethysm import _DP_CACHE, _route_summands, omega_decompose
+from cominuscule.plethysm import _route_summands, omega_decompose
 from cominuscule.twists import h0_dim, min_twist, nonvanishing_scan, table_audit
 
 GIB = 2 ** 30
@@ -109,16 +109,15 @@ def test_criterion_01_e6_table_reproduction():
         f"C({spec.dim},{E6_TYPO_ROW}) = {rank}")
 
 
-def test_criterion_02_e7_table_reproduction():
-    # start from no E7 tables and no cached answers, so the horizon below is
+def test_criterion_02_e7_table_reproduction(dp_horizons):
+    # start from no DP tables and no cached answers, so the horizon below is
     # this audit's own and not one left by an earlier test
-    _DP_CACHE.pop("E7", None)
     _route_summands.cache_clear()
     t0 = time.monotonic()
     audit = table_audit("E7")
     elapsed = time.monotonic() - t0
     peak = _peak_rss()
-    horizon = _DP_CACHE["E7"][0]
+    horizon = max(dp_horizons["E7"])
     ok = (audit.ok and len(audit.rows) == 26 and elapsed <= 600
           and peak <= 4 * GIB and horizon <= 14)
     _line(2, ok, f"E7 table: {sum(r.ok for r in audit.rows)}/26 rows match, "

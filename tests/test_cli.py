@@ -199,7 +199,7 @@ def test_output_determinism(capsys):
     rootsys.root_system.cache_clear()
     catalog._build.cache_clear()
     plethysm._route_summands.cache_clear()
-    plethysm._DP_CACHE.clear()
+    plethysm._tables.cache_clear()
     args = ["verify", "--max-rank", "4"]
     code, cold, _ = run(capsys, *args)
     hits = plethysm._route_summands.cache_info().hits
@@ -216,14 +216,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_internal_failure_has_its_own_exit_code(capsys):
-    # Q:120 overflows the byte packing of the weight engine: an internal
+    # the weights of Q:120 do not fit the engine's 64-bit key: an internal
     # limit, not a mathematical mismatch and not a usage error
     code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
                          "--p", "2")
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("internal error: AssertionError: ")
+    assert err.startswith("internal error: DecompositionError: Q:120: ")
 
 
 def test_omega_method_takes_only_auto_or_engine():

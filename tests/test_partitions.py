@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cominuscule import partitions
 from cominuscule.partitions import (
     COST_A,
     COST_C,
@@ -62,6 +65,37 @@ def test_partitions_in_box_order_and_bounds():
         assert sum(mu) == 5 and len(mu) <= 3 and mu[0] <= 4
     assert list(partitions_in_box(0, 2, 2)) == [()]
     assert list(partitions_in_box(5, 2, 2)) == []
+
+
+@pytest.mark.parametrize("rows,width", [(0, 3), (3, 0), (1, 4), (3, 3), (4, 2), (3, 5)])
+def test_partitions_in_box_matches_brute_force(rows, width):
+    for size in range(rows * width + 2):
+        brute = sorted((tuple(x for x in mu if x)
+                        for mu in product(range(width + 1), repeat=rows)
+                        if sum(mu) == size
+                        and all(a >= b for a, b in zip(mu, mu[1:]))),
+                       reverse=True)
+        assert list(partitions_in_box(size, rows, width)) == brute, (size, rows, width)
+
+
+def test_partitions_in_box_prunes_a_full_box(monkeypatch):
+    # a branch whose size exceeds rows x width is cut at once; without that
+    # the one partition filling the 9 x 9 box took 48,619 recursive calls
+    real = partitions.partitions_in_box
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(partitions, "partitions_in_box", counting)
+    for size, found in (
+            (81, [(9,) * 9]),
+            (78, [(9,) * 8 + (6,), (9,) * 7 + (8, 7), (9,) * 6 + (8, 8, 8)])):
+        calls = 0
+        assert list(counting(size, 9, 9)) == found
+        assert calls <= 200, (size, calls)
 
 
 def _brute_hooks(p, n, delta):

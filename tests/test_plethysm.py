@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,7 +9,9 @@ from cominuscule.catalog import (
     cayley,
     freudenthal,
     grassmannian,
+    iter_catalog_specs,
     lagrangian,
+    nilradical_roots,
     quadric,
     spinor,
 )
@@ -22,6 +25,7 @@ from cominuscule.plethysm import (
     omega_p_weights,
     twist_via_lemma,
 )
+from cominuscule.rootsys import negate
 
 
 def test_omega_weights_grade_zero_and_top():
@@ -225,14 +229,34 @@ def test_duality_shortcut_matches_direct_dp():
             assert via_duality.summands == direct, (spec.name, p)
 
 
-def test_engine_stops_at_half_the_dimension(cold_answers):
+def test_engine_stops_at_half_the_dimension(dp_horizons, cold_answers):
     # every grade of an engine space is answered from DP tables that reach
     # grade dim // 2 and no further
     for spec in (quadric(5), quadric(6), lagrangian(3)):
-        plethysm._DP_CACHE.pop(spec.name, None)
         for p in range(spec.dim + 1):
             omega_decompose(spec, p, method="WeightDP")
-        assert plethysm._DP_CACHE[spec.name][0] == spec.dim // 2, spec.name
+        assert dp_horizons.pop(spec.name) == [spec.dim // 2], spec.name
+
+
+def test_engine_weights_match_brute_force():
+    # every sum of p distinct negated nilradical roots, counted directly;
+    # grades above dim // 2 take the DP's direct path
+    specs = [s for s in iter_catalog_specs(10) if s.dim <= 10]
+    assert {s.family for s in specs} >= {"grassmannian", "quadric_odd",
+                                          "quadric_even", "lagrangian", "spinor"}
+    for spec in specs:
+        vectors = [negate(r) for r in nilradical_roots(spec)]
+        for p in range(spec.dim + 1):
+            brute = Counter(tuple(map(sum, zip(*subset))) if subset
+                            else (0,) * spec.ambient.rank
+                            for subset in combinations(vectors, p))
+            assert omega_p_weights(spec, p).entries == brute, (spec.name, p)
+
+
+def test_engine_refuses_a_weight_box_beyond_64_bits():
+    spec = grassmannian(2, 60)
+    with pytest.raises(DecompositionError, match="G:2:60: .*64-bit key"):
+        omega_decompose(spec, 2, method="WeightDP")
 
 
 @pytest.mark.parametrize("spec,top", [

@@ -1,6 +1,7 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,44 @@ def test_positive_root_counts(name):
     assert len(rs.positive_roots) == EXPECTED_COUNTS[fam](r)
     # every positive root has all-nonnegative simple-root coordinates
     assert all(all(c >= 0 for c in coord) for coord in rs.positive_root_coords)
+
+
+def _reference_positive_roots(fam, r):
+    """Simple-root coordinates of the positive roots, independently of the
+    library: Bourbaki's e-basis lists for A-D (Plates I-IV), converted by
+    partial sums, and for E the nonnegative vectors of squared length 2."""
+    if fam == "E":
+        cartan = np.asarray(rootsys.cartan_matrix(LieType(fam, r)))
+        grid = np.asarray(list(product(range(5), repeat=r)))
+        norm2 = np.einsum("ni,ij,nj->n", grid, cartan, grid)
+        return {tuple(c) for c in grid[norm2 == 2].tolist()}
+    n = r + 1 if fam == "A" else r
+    e = np.eye(n, dtype=int)
+    vectors = [e[i] - e[j] for i, j in combinations(range(n), 2)]
+    if fam != "A":
+        vectors += [e[i] + e[j] for i, j in combinations(range(n), 2)]
+    vectors += {"B": list(e), "C": list(2 * e)}.get(fam, [])
+    out = set()
+    for v in vectors:
+        s = np.cumsum(v)  # alpha_k = e_k - e_{k+1} below the end of the diagram
+        c = list(s[:r])
+        if fam == "C":  # alpha_r = 2 e_r
+            c[r - 1] = s[r - 1] // 2
+        elif fam == "D":  # alpha_{r-1} = e_{r-1} - e_r, alpha_r = e_{r-1} + e_r
+            c[r - 2], c[r - 1] = (s[r - 2] - v[r - 1]) // 2, s[r - 1] // 2
+        out.add(tuple(int(x) for x in c))
+    return out
+
+
+@pytest.mark.parametrize("fam,r", [
+    *((f, r) for f in "ABCD" for r in range(rootsys._MIN_RANK[f], 11)),
+    ("E", 6), ("E", 7)])
+def test_positive_roots_in_height_order(fam, r):
+    rs = RootSystem(LieType(fam, r))
+    ref = sorted(_reference_positive_roots(fam, r), key=lambda c: (sum(c), c))
+    assert list(rs.positive_root_coords) == ref
+    cols = np.asarray(rs.simple_roots)
+    assert [list(w) for w in rs.positive_roots] == (np.asarray(ref) @ cols).tolist()
 
 
 @pytest.mark.parametrize("name", TYPES)
