@@ -38,10 +38,10 @@ print(f"\nscan at rank 6: {len(scan.violations)} violations; exceptions:")
 for e in scan.exceptions:
     print(f"  {e.space} p={e.p} l={e.l}  ({e.note})")
 
-# Audits of the transcribed exceptional tables.  The engine recomputes every
-# row; the 27-dimensional table matches completely, while the 16-dimensional
-# one has a single bad cell in its p = 8 row (a transcription typo, pinned by
-# the exact rank identity 660 + 8085 + 4125 = C(16,8)).
+# Audits of the transcribed exceptional tables.  Kostant's route recomputes
+# every row; the 27-dimensional table matches completely, while the
+# 16-dimensional one has a single bad cell in its p = 8 row (a transcription
+# typo, pinned by the exact rank identity 660 + 8085 + 4125 = C(16,8)).
 for which in ("E6", "E7"):
     audit = table_audit(which)
     status = "all rows match" if audit.ok else \

@@ -152,7 +152,7 @@ def cayley_family() -> FoliationFamilyReport:
     """The octonionic-line family on the Cayley plane: codimension 8 with
     normal twist 8, hence degree -1, parametrized by the dual plane.
 
-    Cross-checked against the weight engine: l(8) = 8 with unique witness
+    Cross-checked against the decomposition: l(8) = 8 with unique witness
     -8 l1 + 4 l6.  The twisted witness weight is 4 l6; its dual 4 l1 names
     the same section space in the opposite duality convention, and both
     carry the same dimension, so both are recorded.
@@ -160,7 +160,7 @@ def cayley_family() -> FoliationFamilyReport:
     spec = cayley()
     report = min_twist(spec, 8)
     if report.l != 8 or len(report.witnesses) != 1:
-        raise AssertionError("Cayley p=8 engine check failed")
+        raise AssertionError("Cayley p=8 decomposition check failed")
     witness = report.witnesses[0].highest_weight
     if witness != (-8, 0, 0, 0, 0, 4):
         raise AssertionError(f"unexpected Cayley witness {witness}")

@@ -1,17 +1,21 @@
 """Decomposition of the exterior powers of the cotangent bundle into
 irreducible homogeneous summands.
 
-Three routes produce the same answer and are tested against each other:
+Four routes produce the same answer and are tested against each other:
 
 * ``cauchy_decompose``: the ordinary-Grassmannian fast path, one summand per
   partition of p inside the k x (n-k) box;
 * ``hooks_decompose``: the symplectic/orthogonal fast paths, indexed by the
   arm = leg +- 1 hook classes;
+* ``_kostant_levels``: Kostant's theorem, one summand of highest weight
+  w rho - rho per minimal coset representative w of length p, for every
+  family; the route ``auto`` takes for the quadrics and the exceptional
+  spaces;
 * the general weight engine: a subset-sum dynamic program over the nilradical
   roots produces the weight multiset of the p-th exterior power, and
   Klimyk's formula reads the irreducible summands off that multiset in one
-  vectorized pass of Levi reflections.  This is the only route for the
-  exceptional spaces and the quadrics.
+  vectorized pass of Levi reflections.  It runs only when forced
+  (``method="WeightDP"``), as the independent check of the other three.
 
 Both steps of the engine work on numpy integer arrays and share one weight
 encoding: a row is one int64 mixed-radix key in a box of weights (``_radix``;
@@ -22,8 +26,8 @@ directly and derives the upper half of the exterior algebra through the
 duality ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
 
 Answers are cached per (space, p, route) in one bounded cache, so a forced
-engine answer is never served from a fast-path entry or the reverse; the
-rank identity is checked on every call, cached or not.
+engine answer is never served from another route's entry or the reverse;
+the rank identity is checked on every call, cached or not.
 """
 from __future__ import annotations
 
@@ -245,9 +249,10 @@ def _exterior_tables(vectors: Sequence[Weight], max_grade: int, name: str):
     return [(_decode(keys, lo, hi), counts) for keys, counts in states]
 
 
-# verify --max-rank 7 builds tables for 38 spaces and the query-mix benchmark
-# for 15; the cap keeps every one of them (E7's take 0.1 s to build) while
-# bounding what a sweep over many spaces keeps.
+# verify --max-rank 7 builds tables for 39 spaces and the query-mix benchmark
+# for none (only forced engine runs build them); the cap keeps every one of
+# verify's (E7's take 0.1 s to build) while bounding what a sweep over many
+# spaces keeps.
 DP_CACHE_SIZE = 64
 
 
@@ -418,6 +423,59 @@ def _dp_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ..
     return tuple(decompose(omega_p_weights(spec, p), spec))
 
 
+# -- Kostant's theorem -------------------------------------------------------------
+
+# verify --max-rank 7 asks for 13 spaces and the query-mix benchmark for 15;
+# the cap keeps all of them while bounding what a sweep over many spaces keeps.
+KOSTANT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=KOSTANT_CACHE_SIZE)
+def _kostant_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ...], ...]:
+    """Summands of every grade 0..dim of the exterior algebra, by Kostant's
+    theorem.
+
+    The cotangent space is an abelian nilradical, so its p-th exterior power
+    is its Lie algebra cohomology H^p, which is multiplicity-free with one
+    summand of highest weight w rho - rho for each w of length p minimal in
+    its coset W_L w (Kostant, Lie algebra cohomology and the generalized
+    Borel-Weil theorem, Ann. of Math. 74, 1961).  Those w are
+    exactly the ones with w rho strictly Levi-dominant, and dropping the
+    last letter of a reduced word keeps w minimal, so the representatives
+    grow level by level by right multiplication.  Each w is carried as w rho
+    in fundamental coordinates and the images w alpha_j in simple-root
+    coordinates: w s_i is longer exactly when w alpha_i > 0, then
+    w s_i rho = w rho - w alpha_i, and w s_i is kept when that point is
+    still strictly Levi-dominant, once per point; its images are
+    (w s_i) alpha_j = w alpha_j - <alpha_j, alpha_i^vee> w alpha_i.
+    """
+    cartan = np.asarray(spec.ambient.cartan, dtype=np.int64)
+    levi = np.asarray(spec.levi.nodes, dtype=np.intp)
+    points = np.ones((1, spec.ambient.rank), dtype=np.int64)
+    images = np.eye(spec.ambient.rank, dtype=np.int64)[None]
+    levels = []
+    for p in range(spec.dim + 1):
+        levels.append(tuple(sorted(
+            (_make_summand(spec, tuple(w), p) for w in (points - 1).tolist()),
+            key=lambda s: s.highest_weight, reverse=True)))
+        e, i = np.nonzero(images.min(axis=2) >= 0)
+        roots = images[e, i]
+        new = points[e] - roots @ cartan.T
+        keep = (new[:, levi] > 0).all(axis=1)
+        points, first = np.unique(new[keep], axis=0, return_index=True)
+        e, i, roots = e[keep][first], i[keep][first], roots[keep][first]
+        images = images[e] - cartan[i][:, :, None] * roots[:, None, :]
+    if len(points):
+        raise DecompositionError(
+            f"{spec.name}: a minimal coset representative is longer than {spec.dim}")
+    return tuple(levels)
+
+
+def _kostant_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:
+    """Kostant summands of grade p, read off the cached levels of the space."""
+    return _kostant_levels(spec)[p]
+
+
 # -- fast paths --------------------------------------------------------------------
 
 
@@ -482,7 +540,7 @@ def hooks_decompose(spec: GrassmannianSpec, p: int
 
 # -- the public decomposition entry point -------------------------------------------
 
-# verify --max-rank 7 fills 671 answers and the query-mix benchmark 542; the
+# verify --max-rank 7 fills 829 answers and the query-mix benchmark 542; the
 # cap leaves room for both while bounding what a long-running process keeps.
 ANSWER_CACHE_SIZE = 4096
 
@@ -493,22 +551,26 @@ def _route_summands(spec: GrassmannianSpec, p: int, route: str
     """Summands of grade p by one route, computed once per (spec, p, route).
 
     The route is part of the key, so the engine's answer is never served
-    for a fast path or the reverse.  Threads missing the same key may both
-    compute it; the answers are equal.
+    for another route or the reverse.  Threads missing the same key may
+    both compute it; the answers are equal.
     """
     if route == "CauchyA":
         return tuple(s for _, s in cauchy_decompose(*spec.params, p))
     if route in ("HooksC", "HooksD"):
         return tuple(s for _, s in hooks_decompose(spec, p))
+    if route == "Kostant":
+        return _kostant_summands(spec, p)
     return _dp_summands(spec, p)
 
 
 def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
                     ) -> DecompositionReport:
     """Decomposition report for the p-th exterior power of the cotangent
-    bundle.  ``method="auto"`` picks the per-family fast path and falls back
-    to the weight engine for quadrics and exceptional spaces; ``method
-    ="WeightDP"`` forces the engine (used for cross-path testing)."""
+    bundle.  ``method="auto"`` picks the per-family route: the Cauchy
+    formula or the hook classes where a partition fast path exists,
+    Kostant's theorem for the quadrics and the exceptional spaces;
+    ``method="WeightDP"`` forces the weight engine (used for cross-path
+    testing)."""
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
     if method not in ("auto", "WeightDP"):
@@ -517,7 +579,11 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
         "grassmannian": "CauchyA",
         "lagrangian": "HooksC",
         "spinor": "HooksD",
-    }.get(spec.family, "WeightDP")
+        "quadric_odd": "Kostant",
+        "quadric_even": "Kostant",
+        "cayley": "Kostant",
+        "freudenthal": "Kostant",
+    }[spec.family]
 
     summands = _route_summands(spec, p, chosen)
     report = DecompositionReport(spec=spec, p=p, summands=summands, method=chosen)

@@ -97,7 +97,7 @@ def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
     if formula is not None and formula != l:
         raise AssertionError(
             f"{spec.name}, p={p}: closed form gives l={formula}, "
-            f"weight engine gives l={l}")
+            f"{report.method} gives l={l}")
     k = spec.marked_node - 1
     witnesses = tuple(s for s in report.summands
                       if -s.highest_weight[k] == l)
@@ -111,7 +111,8 @@ def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
 
 
 def _scan_l(spec: GrassmannianSpec, p: int) -> int:
-    """l(p) for batch scans: closed form where available, engine otherwise."""
+    """l(p) for batch scans: closed form where available, the decomposition
+    otherwise."""
     formula = closed_form_l(spec, p)
     if formula is not None:
         return formula
@@ -206,9 +207,10 @@ class TableAuditRow:
 
 @dataclass(frozen=True)
 class TableAudit:
-    """Row-by-row diff of the engine against a transcribed reference table.
+    """Row-by-row diff of the computed decomposition against a transcribed
+    reference table.
 
-    The engine output is the ground truth being compared against the
+    The computed output is the ground truth being compared against the
     transcription; a mismatch is evidence of a typo in the printed table and
     is reported with both values, never patched.
     """

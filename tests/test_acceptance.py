@@ -26,6 +26,7 @@ from math import comb
 
 from cominuscule.catalog import (
     cayley,
+    freudenthal,
     grassmannian,
     iter_catalog_specs,
     lagrangian,
@@ -41,7 +42,7 @@ from cominuscule.partitions import (
     min_twist_lagr_oracle,
     min_twist_spinor_oracle,
 )
-from cominuscule.plethysm import _route_summands, omega_decompose
+from cominuscule.plethysm import _kostant_levels, _route_summands, omega_decompose
 from cominuscule.twists import h0_dim, min_twist, nonvanishing_scan, table_audit
 
 GIB = 2 ** 30
@@ -111,22 +112,32 @@ def test_criterion_01_e6_table_reproduction():
 
 def test_criterion_02_e7_table_reproduction(dp_horizons):
     # start from no DP tables and no cached answers, so the horizon below is
-    # this audit's own and not one left by an earlier test
+    # this test's own and not one left by an earlier test
     _route_summands.cache_clear()
+    _kostant_levels.cache_clear()
+    spec = freudenthal()
     t0 = time.monotonic()
     audit = table_audit("E7")
+    # the audit reads Kostant's route; a forced engine pass over every grade
+    # recomputes each row independently
+    engine = {p: tuple(sorted(omega_decompose(spec, p, method="WeightDP")
+                              .weights(), reverse=True))
+              for p in range(spec.dim + 1)}
     elapsed = time.monotonic() - t0
     peak = _peak_rss()
     horizon = max(dp_horizons["E7"])
+    disagree = [r.p for r in audit.rows if engine[r.p] != r.computed_weights]
     ok = (audit.ok and len(audit.rows) == 26 and elapsed <= 600
-          and peak <= 4 * GIB and horizon <= 14)
+          and peak <= 4 * GIB and horizon <= 14 and not disagree)
     _line(2, ok, f"E7 table: {sum(r.ok for r in audit.rows)}/26 rows match, "
                  f"{elapsed:.1f}s, peak {peak / GIB:.2f} GiB, duality shortcut "
                  f"horizon {horizon}")
     assert elapsed <= 600 and peak <= 4 * GIB
     assert len(audit.rows) == 26
-    # the high grades must come from the duality shortcut, not direct DP
+    # the engine's high grades must come from the duality shortcut, not
+    # direct DP
     assert horizon <= 14, horizon
+    assert not disagree, disagree
     # the interleaved-twist row surfaces as an explicit, crash-free verdict
     row15 = next(r for r in audit.rows if r.p == 15)
     assert isinstance(row15.weights_match, bool)
@@ -302,7 +313,6 @@ def test_criterion_10_twist_identity_cross_check():
     specs += [spinor(n) for n in range(3, 8)]
     specs += [quadric(m) for m in range(3, 13)]
     specs += [cayley(), lagrangian(2)]
-    from cominuscule.catalog import freudenthal
     specs.append(freudenthal())
     for spec in specs:
         rs = spec.ambient

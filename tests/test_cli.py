@@ -43,7 +43,7 @@ def test_omega_decompose_schema(capsys):
     assert code == 0
     data = json.loads(out)
     assert list(data) == ["space", "p", "method", "summands", "rank_check"]
-    assert data["method"] == "WeightDP"
+    assert data["method"] == "Kostant"
     assert data["rank_check"]["expected"] == data["rank_check"]["got"] == 12870
     for s in data["summands"]:
         assert list(s) == ["weight", "levi_dim", "twist"]
@@ -163,16 +163,18 @@ def test_verify_small_run(capsys, monkeypatch):
 
 
 def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers):
-    # drop one summand of one engine decomposition: verify must list the
-    # (space, p) with both sums and exit 1, not stop with an internal error;
-    # grade 3 of Q:5 is the dual of grade 2, so it inherits the loss
-    real = plethysm._dp_summands
+    # drop the one summand of grades 2 and 3 of Q:5 from the route auto
+    # takes there: verify must list each (space, p) with both sums and exit
+    # 1, not stop with an internal error; the forced engine still answers,
+    # so the path comparison leaves the two grades to the rank identity
+    real = plethysm._kostant_summands
 
     def lossy(spec, p):
         summands = real(spec, p)
-        return summands[1:] if (spec.name, p) == ("Q:5", 2) else summands
+        return summands[1:] if (spec.name, p) in (("Q:5", 2), ("Q:5", 3)) \
+            else summands
 
-    monkeypatch.setattr(plethysm, "_dp_summands", lossy)
+    monkeypatch.setattr(plethysm, "_kostant_summands", lossy)
     code, out, _ = run(capsys, "verify", "--max-rank", "3")
     assert code == 1
     components = {c["name"]: c for c in json.loads(out)["components"]}
@@ -183,6 +185,42 @@ def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers)
                                 {"space": "Q:5", "p": 3, "expected": comb(5, 3),
                                  "got": comb(5, 3) - dropped}]
     assert all(c["ok"] for c in components.values())
+
+
+def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
+                                                     cold_answers):
+    # drop one summand of one forced engine decomposition: the path
+    # comparison must list the (space, p) with both sums and exit 1; grade 3
+    # of Q:5 is the engine's dual of grade 2, so it inherits the loss
+    real = plethysm._dp_summands
+
+    def lossy(spec, p):
+        summands = real(spec, p)
+        return summands[1:] if (spec.name, p) == ("Q:5", 2) else summands
+
+    monkeypatch.setattr(plethysm, "_dp_summands", lossy)
+    code, out, _ = run(capsys, "verify", "--max-rank", "3")
+    assert code == 1
+    components = {c["name"]: c for c in json.loads(out)["components"]}
+    paths = components.pop("fast path vs weight engine")
+    dropped = real(quadric(5), 2)[0].levi_dim
+    assert paths["failures"] == [
+        {"space": "Q:5", "p": p, "method": "WeightDP", "expected": comb(5, p),
+         "got": comb(5, p) - dropped} for p in (2, 3)]
+    assert all(c["ok"] for c in components.values())
+
+
+def test_verify_pool_builds_each_dp_table_once():
+    # one pool task per space: no two threads run the DP of one space, and
+    # no answer is computed twice
+    plethysm._route_summands.cache_clear()
+    plethysm._tables.cache_clear()
+    cli.run_verify(7)
+    engine_spaces = [s for s in catalog.iter_catalog_specs(7) if s.dim <= 27]
+    tables = plethysm._tables.cache_info()
+    assert tables.misses == tables.currsize == len(engine_spaces)
+    answers = plethysm._route_summands.cache_info()
+    assert answers.misses == answers.currsize
 
 
 def test_output_determinism(capsys):
@@ -199,6 +237,7 @@ def test_output_determinism(capsys):
     rootsys.root_system.cache_clear()
     catalog._build.cache_clear()
     plethysm._route_summands.cache_clear()
+    plethysm._kostant_levels.cache_clear()
     plethysm._tables.cache_clear()
     args = ["verify", "--max-rank", "4"]
     code, cold, _ = run(capsys, *args)
@@ -219,11 +258,24 @@ def test_internal_failure_has_its_own_exit_code(capsys):
     # the weights of Q:120 do not fit the engine's 64-bit key: an internal
     # limit, not a mathematical mismatch and not a usage error
     code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
-                         "--p", "2")
+                         "--p", "2", "--method", "WeightDP")
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: DecompositionError: Q:120: ")
+
+
+def test_auto_answers_a_quadric_beyond_the_engine_key(capsys):
+    # the route auto takes on quadrics has no weight box: Q:120 p = 2 is the
+    # one summand Wedge^2 of the standard so(120) module, twisted
+    code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
+                         "--p", "2")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["method"] == "Kostant"
+    assert len(data["summands"]) == 1
+    assert data["summands"][0]["levi_dim"] == comb(120, 2)
+    assert data["summands"][0]["twist"] == -3
 
 
 def test_omega_method_takes_only_auto_or_engine():

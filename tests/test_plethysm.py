@@ -6,6 +6,7 @@ import pytest
 
 from cominuscule import plethysm
 from cominuscule.catalog import (
+    FAMILIES,
     cayley,
     freudenthal,
     grassmannian,
@@ -348,14 +349,14 @@ def test_answer_cache_keeps_routes_apart(monkeypatch, cold_answers):
 def test_rank_identity_checked_on_cached_answers(monkeypatch, cold_answers):
     # the check sits outside the cache: a cached answer that lost a summand
     # fails on every call, not only on the one that computed it
-    real = plethysm._dp_summands
+    real = plethysm._kostant_summands
     runs = []
 
     def lossy(spec, p):
         runs.append(p)
         return real(spec, p)[1:]
 
-    monkeypatch.setattr(plethysm, "_dp_summands", lossy)
+    monkeypatch.setattr(plethysm, "_kostant_summands", lossy)
     for _ in range(2):
         with pytest.raises(plethysm.RankIdentityError):
             omega_decompose(quadric(6), 3)
@@ -383,3 +384,70 @@ def test_answer_cache_stays_within_its_cap(cold_answers):
                 omega_decompose(spec, p)
                 asked.add((spec.name, p))
     assert cache.cache_info().currsize == plethysm.ANSWER_CACHE_SIZE
+
+
+# -- Kostant's route -------------------------------------------------------------------
+
+
+def test_kostant_route_equals_the_engine_up_to_rank_7(cold_answers):
+    # every grade of every catalog space, summand by summand: one minimal
+    # coset representative per summand against the forced weight engine
+    specs = list(iter_catalog_specs(7))
+    assert {s.family for s in specs} == set(FAMILIES)
+    for spec in specs:
+        levels = plethysm._kostant_levels(spec)
+        assert len(levels) == spec.dim + 1, spec.name
+        for p in range(spec.dim + 1):
+            engine = omega_decompose(spec, p, method="WeightDP").summands
+            assert levels[p] == engine, (spec.name, p)
+
+
+def test_kostant_levels_equal_the_partition_fast_paths():
+    specs = [grassmannian(k, n) for n in range(2, 9) for k in range(1, n // 2 + 1)]
+    specs += [lagrangian(n) for n in range(2, 6)] + [spinor(n) for n in range(3, 7)]
+    for spec in specs:
+        levels = plethysm._kostant_levels(spec)
+        for p in range(spec.dim + 1):
+            if spec.family == "grassmannian":
+                fast = cauchy_decompose(*spec.params, p)
+            else:
+                fast = hooks_decompose(spec, p)
+            assert levels[p] == tuple(s for _, s in fast), (spec.name, p)
+
+
+def _quadric_weights(spec, p):
+    """Summand weights of grade p on Q:m from the standard module V of the
+    Levi so(m): the cotangent bundle is V twisted, and Wedge^q V is
+    irreducible with highest weight l_q, except near the spin ends, where
+    it is 2 l_last (odd m, q = rank), l_{last-1} + l_last (even m,
+    q = rank - 1), or splits into 2 l_{last-1} + 2 l_last (even m,
+    q = rank) (Fulton-Harris, sec. 19.2).  Ambient nodes, Levi rank r - 1."""
+    m, r = spec.dim, spec.ambient.rank
+    if p in (0, m):
+        return [(-p,) + (0,) * (r - 1)]
+    q = min(p, m - p)
+
+    def weight(*levi_part):
+        w = [-(p + 1)] + [0] * (r - 1)
+        for node, c in levi_part:
+            w[node - 1] += c
+        return tuple(w)
+
+    if spec.family == "quadric_odd" and q == r - 1:
+        return [weight((r, 2))]
+    if spec.family == "quadric_even" and q == r - 2:
+        return [weight((r - 1, 1), (r, 1))]
+    if spec.family == "quadric_even" and q == r - 1:
+        return [weight((r - 1, 2)), weight((r, 2))]
+    return [weight((q + 1, 1))]
+
+
+def test_quadric_closed_form_from_kostant(cold_answers):
+    for m in range(3, 41):
+        spec = quadric(m)
+        for p in range(m + 1):
+            report = omega_decompose(spec, p)
+            assert report.method == "Kostant"
+            assert sorted(report.weights()) == sorted(_quadric_weights(spec, p)), \
+                (m, p)
+            assert len(report.summands) == (2 if 2 * p == m else 1), (m, p)
