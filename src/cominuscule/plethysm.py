@@ -11,36 +11,35 @@ Four routes produce the same answer and are tested against each other:
   w rho - rho per minimal coset representative w of length p, for every
   family; the route ``auto`` takes for the quadrics and the exceptional
   spaces;
-* the general weight engine: a subset-sum dynamic program over the nilradical
-  roots produces the weight multiset of the p-th exterior power, and
-  Klimyk's formula reads the irreducible summands off that multiset in one
-  vectorized pass of Levi reflections.  It runs only when forced
+* ``_engine_levels``, the general weight engine: a subset-sum dynamic
+  program over the nilradical roots produces the weight multisets of the
+  exterior powers, and Klimyk's formula reads the irreducible summands off
+  them in vectorized passes of Levi reflections.  It runs only when forced
   (``method="WeightDP"``), as the independent check of the other three.
 
-Both steps of the engine work on numpy integer arrays and share one weight
-encoding: a row is one int64 mixed-radix key in a box of weights (``_radix``;
-a space whose box does not fit 64 bits is refused before any allocation).
-The DP adds roots to keys, and the Klimyk pass reflects the int16 weight
-rows.  On every space the engine computes grades up to floor(dim/2)
-directly and derives the upper half of the exterior algebra through the
-duality ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
+The engine makes one pass per space.  Its DP runs once to floor(dim/2) on
+int64 mixed-radix keys in one box of weights (``_radix``; a space whose box
+does not fit 64 bits is refused before any allocation) and hands the keys of
+each run of consecutive grades, the grade as one more key coordinate,
+straight to the Klimyk pass.  The upper half comes from the duality
+``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
 
-Answers are cached per (space, p, route) in one bounded cache, so a forced
-engine answer is never served from another route's entry or the reverse;
-the rank identity is checked on every call, cached or not.
+Kostant's route and the engine keep every grade of a space in one bounded
+cache each.  Answers are cached per (space, p, route) in one bounded cache,
+so a forced engine answer is never served from another route's entry or the
+reverse; the rank identity is checked on every call, cached or not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
-from typing import Sequence
+from math import comb, prod
 
 import numpy as np
 
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
-from .rootsys import Weight, negate
+from .rootsys import Weight
 
 
 class DecompositionError(RuntimeError):
@@ -60,8 +59,7 @@ class RankIdentityError(DecompositionError):
 class WeightMultiset:
     """Weight multiset of one exterior-power grade, full-group coordinates.
 
-    Backed by numpy arrays; ``entries`` materializes a plain dict (can be
-    large for the 27-dimensional case, prefer ``dominant_entries`` there).
+    Backed by numpy arrays; ``entries`` materializes a plain dict.
     """
 
     grade: int
@@ -86,19 +84,6 @@ class WeightMultiset:
         return {
             tuple(int(x) for x in row): int(c)
             for row, c in zip(self._rows, self._counts)
-        }
-
-    def dominant_entries(self, levi) -> dict[Weight, int]:
-        """Entries whose weight is Levi-dominant; with Levi-Weyl symmetry
-        they determine the whole multiset."""
-        k = levi.node - 1
-        mask = np.ones(len(self._counts), dtype=bool)
-        for i in range(self._rows.shape[1]):
-            if i != k:
-                mask &= self._rows[:, i] >= 0
-        return {
-            tuple(int(x) for x in row): int(c)
-            for row, c in zip(self._rows[mask], self._counts[mask])
         }
 
 
@@ -198,8 +183,8 @@ def _encode(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
 
 
 def _decode(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int16 rows of the keys of the box lo..hi, least significant first."""
-    rows = np.empty((len(keys), len(lo)), dtype=np.int16)
+    """int16 rows of the keys of the box lo..hi, stored column by column."""
+    rows = np.empty((len(keys), len(lo)), dtype=np.int16, order="F")
     for j, span in enumerate((hi - lo + 1).tolist()):
         keys, digit = np.divmod(keys, span)
         rows[:, j] = digit + lo[j]
@@ -218,49 +203,32 @@ def _group(keys: np.ndarray, counts: np.ndarray):
     return keys[idx], np.add.reduceat(counts, idx)
 
 
-def _exterior_tables(vectors: Sequence[Weight], max_grade: int, name: str):
-    """Weight multisets of all exterior powers up to max_grade.
+def _exterior_tables(spec: GrassmannianSpec, max_grade: int):
+    """Weight multisets of the exterior powers of the cotangent space up to
+    max_grade, by a 0/1-knapsack over the negated nilradical roots.
 
-    0/1-knapsack over the given weight vectors.  Every partial sum lies in
-    the box whose bounds are, per coordinate, the sums of the negative and of
-    the positive entries; a state is its ``_radix`` key in that box, so
-    adding a vector is adding one precomputed scalar.  Returns per grade a
-    pair (rows, counts), rows int16 sorted by key.
+    Every partial sum lies in the box whose bounds are, per coordinate, the
+    sums of the negative and of the positive entries; a state is its
+    ``_radix`` key in that box, so adding a root is adding one scalar.
+    Returns lo, hi and per grade a pair (keys, counts), keys sorted.
     """
-    if not vectors:
-        return [(np.zeros((1, 0), dtype=np.int16), np.ones(1, dtype=np.int64))]
-    arr = np.asarray(vectors, dtype=np.int64)
+    arr = -np.asarray(nilradical_roots(spec), dtype=np.int64)
     lo = np.minimum(arr, 0).sum(axis=0)
     hi = np.maximum(arr, 0).sum(axis=0)
-    place = _radix(lo, hi, name)
+    place = _radix(lo, hi, spec.name)
     deltas = (arr @ place).tolist()
 
-    states: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (max_grade + 1)
+    states = [(np.zeros(0, dtype=np.int64),) * 2] * (max_grade + 1)
     states[0] = (np.asarray([-lo @ place]), np.ones(1, dtype=np.int64))
     for j, d in enumerate(deltas):
         for g in range(min(j, max_grade - 1), -1, -1):
-            keys, counts = states[g]
-            if states[g + 1] is None:
-                states[g + 1] = (keys + d, counts.copy())
-            else:
-                k2, n2 = states[g + 1]
-                states[g + 1] = _group(np.concatenate([k2, keys + d]),
-                                       np.concatenate([n2, counts]))
-    return [(_decode(keys, lo, hi), counts) for keys, counts in states]
-
-
-# verify --max-rank 7 builds tables for 39 spaces and the query-mix benchmark
-# for none (only forced engine runs build them); the cap keeps every one of
-# verify's (E7's take 0.1 s to build) while bounding what a sweep over many
-# spaces keeps.
-DP_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=DP_CACHE_SIZE)
-def _tables(spec: GrassmannianSpec, horizon: int):
-    """DP tables of one space up to grade ``horizon``."""
-    weights = [negate(r) for r in nilradical_roots(spec)]
-    return _exterior_tables(weights, horizon, spec.name)
+            (keys, counts), (k2, n2) = states[g], states[g + 1]
+            states[g + 1] = _group(np.concatenate([k2, keys + d]),
+                                   np.concatenate([n2, counts]))
+    for g, (_, counts) in enumerate(states):
+        if int(counts.sum()) != comb(spec.dim, g):
+            raise DecompositionError(f"{spec.name}: weight DP lost mass at grade {g}")
+    return lo, hi, states
 
 
 def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
@@ -268,13 +236,8 @@ def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
     all sums of p distinct negated nilradical roots."""
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
-    # One table to dim // 2 serves every engine grade; the upper half comes
-    # from duality, so only direct calls above it build a second table.
-    rows, counts = _tables(spec, max(p, spec.dim // 2))[p]
-    ws = WeightMultiset(grade=p, _rows=rows, _counts=counts)
-    if ws.total() != comb(spec.dim, p):
-        raise DecompositionError(f"{spec.name}: weight DP lost mass at grade {p}")
-    return ws
+    lo, hi, states = _exterior_tables(spec, p)
+    return WeightMultiset(p, _decode(states[p][0], lo, hi), states[p][1])
 
 
 # -- Klimyk's formula ---------------------------------------------------------------
@@ -313,50 +276,35 @@ def _check_levi_invariant(spec: GrassmannianSpec, rows: np.ndarray,
             raise DecompositionError(broken)
 
 
-def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSummand]:
-    """Decompose a Levi-Weyl-invariant weight multiset into irreducibles.
+def _klimyk(spec: GrassmannianSpec, keys: np.ndarray, counts: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray) -> list[list[IrreducibleSummand]]:
+    """Summands, sorted descending, of each grade lo[-1]..hi[-1] of a run.
 
-    Klimyk's formula with nu = 0 (Humphreys, Introduction to Lie Algebras
-    and Representation Theory, sec. 24; Fulton-Harris, sec. 25): for a
-    W_L-invariant multiset m, ``sum_mu m(mu) e^mu = sum_mu m(mu) eps(w)
-    ch V_{w(mu + rho) - rho}`` over all weights mu, where w moves mu + rho
-    into the dominant Levi chamber and the terms with mu + rho singular
-    vanish.  Any rho with every Levi coordinate 1 gives the same dot
-    action; this one has marked coordinate 0.  Each row is reflected in its
-    first negative Levi coordinate, its count changing sign, until it is
-    dominant; a zero Levi coordinate makes it singular and drops it.
-
-    Raises DecompositionError unless the multiset is W_L-invariant (Klimyk's
-    formula needs it), every resulting multiplicity is nonnegative, and the
-    Levi dimensions add up to the multiset's size.
+    ``keys`` are strictly increasing ``_radix`` keys in the box lo..hi, whose
+    last coordinate is the grade, which the simple roots leave at 0: one
+    invariance check, reflection loop and grouping serve the whole run.
     """
-    rows, counts = ws._rows, ws._counts
-    levi = spec.levi
-    alpha = np.asarray(spec.ambient.simple_roots, dtype=np.int16)
+    levi, rank = spec.levi, spec.ambient.rank
     if counts.min() < 0 or int(counts.max()) * len(counts) >= 2 ** 63:
         raise DecompositionError(f"{spec.name}: counts out of range")
     # Every reflected row is w(mu) + rho - (rho - w rho), with w(mu) a row and
     # rho - w rho a sum of distinct positive Levi roots; products y_i alpha_i
     # stay within |alpha| times that bound, so int16 never overflows.
-    reach = max(-int(rows.min()), int(rows.max())) + 1 + max(
-        sum(abs(b[j]) for b in levi.positive_roots)
-        for j in range(spec.ambient.rank))
+    alpha = np.pad(np.asarray(spec.ambient.simple_roots, dtype=np.int16), ((0, 0), (0, 1)))
+    reach = max(-int(lo[:rank].min()), int(hi[:rank].max())) + 1 + max(
+        sum(abs(b[j]) for b in levi.positive_roots) for j in range(rank))
     if reach * (1 + int(np.abs(alpha).max())) > np.iinfo(np.int16).max:
         raise DecompositionError(f"{spec.name}: weights too large for int16")
-
-    lo, hi = rows.min(axis=0).astype(np.int64), rows.max(axis=0).astype(np.int64)
     place = _radix(lo, hi, spec.name)
-    keys = _encode(rows, lo, place)
-    if not (keys[1:] > keys[:-1]).all():
-        order = np.argsort(keys, kind="stable")
-        keys, rows, counts = keys[order], rows[order], counts[order]
-        if not (keys[1:] > keys[:-1]).all():
-            raise DecompositionError(f"{spec.name}: repeated weight rows")
+    rows = _decode(keys, lo, hi)
     _check_levi_invariant(spec, rows, counts, keys, lo, hi, place)
+    grades = range(int(lo[-1]), int(hi[-1]) + 1)
+    totals = [int(c.sum()) for c in np.split(
+        counts, np.searchsorted(keys, place[-1] * np.arange(1, len(grades))))]
 
     cols = np.asarray(levi.nodes, dtype=np.intp)
-    rho = np.ones(spec.ambient.rank, dtype=np.int16)
-    rho[levi.node - 1] = 0
+    rho = np.ones(rank + 1, dtype=np.int16)
+    rho[[levi.node - 1, rank]] = 0
     y, c = rows + rho, counts
     done_y, done_c = [], []
     while True:
@@ -381,23 +329,47 @@ def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSum
     keys, mult = _group(_encode(done, lo, place), np.concatenate(done_c))
     lam = _decode(keys, lo, hi)
     if (mult < 0).any():
+        bad = int(mult.argmin())
         raise DecompositionError(
-            f"{spec.name}, p={ws.grade}: negative multiplicity "
-            f"{int(mult.min())} from Klimyk's formula")
+            f"{spec.name}, p={lam[bad, rank]}: negative multiplicity "
+            f"{int(mult[bad])} from Klimyk's formula")
 
-    summands: list[IrreducibleSummand] = []
-    size = 0
-    for weight, m in zip(lam.tolist(), mult.tolist()):
+    levels: list[list[IrreducibleSummand]] = [[] for _ in grades]
+    for (*weight, p), m in zip(lam.tolist(), mult.tolist()):
         if m:
-            s = _make_summand(spec, tuple(weight), ws.grade)
-            size += m * s.levi_dim
-            summands.extend([s] * m)
-    if size != ws.total():
-        raise DecompositionError(
-            f"{spec.name}, p={ws.grade}: summands have total dimension {size}, "
-            f"the weight multiset {ws.total()}")
-    summands.sort(key=lambda s: s.highest_weight, reverse=True)
-    return summands
+            levels[p - grades[0]] += [_make_summand(spec, tuple(weight), p)] * m
+    for p, summands, total in zip(grades, levels, totals):
+        size = sum(s.levi_dim for s in summands)
+        if size != total:
+            raise DecompositionError(
+                f"{spec.name}, p={p}: summands have total dimension {size}, "
+                f"the weight multiset {total}")
+        summands.sort(key=lambda s: s.highest_weight, reverse=True)
+    return levels
+
+
+def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSummand]:
+    """Decompose a Levi-Weyl-invariant weight multiset into irreducibles.
+
+    Klimyk's formula with nu = 0 (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, sec. 24; Fulton-Harris, sec. 25): for a
+    W_L-invariant multiset m, ``sum_mu m(mu) e^mu = sum_mu m(mu) eps(w)
+    ch V_{w(mu + rho) - rho}`` over all weights mu, where w moves mu + rho
+    into the dominant Levi chamber and the terms with mu + rho singular
+    vanish.  Any rho with every Levi coordinate 1 gives the same dot
+    action; this one has marked coordinate 0.  Each row is reflected in its
+    first negative Levi coordinate, its count changing sign, until it is
+    dominant; a zero Levi coordinate makes it singular and drops it.
+
+    Raises DecompositionError unless the multiset is W_L-invariant (Klimyk's
+    formula needs it), every resulting multiplicity is nonnegative, and the
+    Levi dimensions add up to the multiset's size.
+    """
+    rows = ws._rows
+    lo = np.append(rows.min(axis=0), ws.grade).astype(np.int64)
+    hi = np.append(rows.max(axis=0), ws.grade).astype(np.int64)
+    keys = _encode(rows, lo, _radix(lo, hi, spec.name)[:-1])
+    return _klimyk(spec, *_group(keys, ws._counts), lo, hi)[0]
 
 
 def _dual_summand(spec: GrassmannianSpec, s: IrreducibleSummand, p_dual: int
@@ -412,15 +384,43 @@ def _dual_summand(spec: GrassmannianSpec, s: IrreducibleSummand, p_dual: int
     return out
 
 
+# verify --max-rank 7 runs the engine on 39 spaces, the query-mix benchmark on
+# none; the cap keeps all of verify's and bounds what a long sweep keeps.
+ENGINE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=ENGINE_CACHE_SIZE)
+def _engine_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ...], ...]:
+    """Engine summands of every grade 0..dim of the exterior algebra.
+
+    One DP reaches grade dim // 2; runs of consecutive grades holding no more
+    rows than its largest grade go through ``_klimyk`` in the DP's box, the
+    grade one more coordinate.  Grades above dim // 2 are dual to those below.
+    """
+    half = spec.dim // 2
+    lo, hi, states = _exterior_tables(spec, half)
+    box = prod((hi - lo + 1).tolist())
+    sizes = [len(keys) for keys, _ in states]
+    levels: list = []
+    while len(levels) <= half:
+        first = last = len(levels)
+        while (last < half and sum(sizes[first:last + 2]) <= max(sizes)
+               and (last - first + 2) * box < 2 ** 63):
+            last += 1
+        keys = np.concatenate([states[g][0] + (g - first) * box
+                               for g in range(first, last + 1)])
+        counts = np.concatenate([c for _, c in states[first:last + 1]])
+        states[first:last + 1] = [None] * (last - first + 1)
+        levels += _klimyk(spec, keys, counts, np.append(lo, first), np.append(hi, last))
+    for p in range(half + 1, spec.dim + 1):
+        levels.append(sorted((_dual_summand(spec, s, p) for s in levels[spec.dim - p]),
+                             key=lambda s: s.highest_weight, reverse=True))
+    return tuple(map(tuple, levels))
+
+
 def _dp_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:
-    """Engine summands of grade p: decomposed directly up to dim // 2, above
-    it dual to the cached engine answer of grade dim - p."""
-    if p > spec.dim // 2:
-        base = _route_summands(spec, spec.dim - p, "WeightDP")
-        return tuple(sorted(
-            (_dual_summand(spec, s, p) for s in base),
-            key=lambda s: s.highest_weight, reverse=True))
-    return tuple(decompose(omega_p_weights(spec, p), spec))
+    """Engine summands of grade p, read off the cached levels of the space."""
+    return _engine_levels(spec)[p]
 
 
 # -- Kostant's theorem -------------------------------------------------------------
@@ -479,7 +479,7 @@ def _kostant_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSumman
 # -- fast paths --------------------------------------------------------------------
 
 
-def _efun_to_fundamental(beta: Sequence[int]) -> Weight:
+def _efun_to_fundamental(beta: list[int]) -> Weight:
     return tuple(beta[i] - beta[i + 1] for i in range(len(beta) - 1))
 
 

@@ -3,28 +3,32 @@ import pytest
 from cominuscule import plethysm
 
 
+def _clear_answers():
+    for cache in (plethysm._route_summands, plethysm._kostant_levels,
+                  plethysm._engine_levels):
+        cache.cache_clear()
+
+
 @pytest.fixture
 def cold_answers():
     """Empty the answer caches before and after the test, so the test sees
     its own answers and leaves none behind."""
-    plethysm._route_summands.cache_clear()
-    plethysm._kostant_levels.cache_clear()
+    _clear_answers()
     yield
-    plethysm._route_summands.cache_clear()
-    plethysm._kostant_levels.cache_clear()
+    _clear_answers()
 
 
 @pytest.fixture
 def dp_horizons(monkeypatch):
-    """Empty the DP table cache, then record per space name the grade each
-    new DP table is built to."""
-    plethysm._tables.cache_clear()
+    """Empty the engine cache, then record per space name the grade each
+    new DP is run to."""
+    plethysm._engine_levels.cache_clear()
     built: dict[str, list[int]] = {}
     real = plethysm._exterior_tables
 
-    def recording(vectors, max_grade, name):
-        built.setdefault(name, []).append(max_grade)
-        return real(vectors, max_grade, name)
+    def recording(spec, max_grade):
+        built.setdefault(spec.name, []).append(max_grade)
+        return real(spec, max_grade)
 
     monkeypatch.setattr(plethysm, "_exterior_tables", recording)
     return built

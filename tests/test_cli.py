@@ -1,6 +1,7 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
 from cominuscule import catalog, cli, plethysm, rootsys
@@ -189,36 +190,36 @@ def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers)
 
 def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
                                                      cold_answers):
-    # drop one summand of one forced engine decomposition: the path
-    # comparison must list the (space, p) with both sums and exit 1; grade 3
-    # of Q:5 is the engine's dual of grade 2, so it inherits the loss
-    real = plethysm._dp_summands
+    # drop one summand of grade 2 of Q:5 from the engine's Klimyk pass: the
+    # path comparison must list the (space, p) with both sums and exit 1;
+    # grade 3 of Q:5 is the engine's dual of grade 2, so it inherits the loss
+    real = plethysm._klimyk
 
-    def lossy(spec, p):
-        summands = real(spec, p)
-        return summands[1:] if (spec.name, p) == ("Q:5", 2) else summands
+    def lossy(spec, keys, counts, lo, hi):
+        levels = real(spec, keys, counts, lo, hi)
+        if spec.name == "Q:5" and lo[-1] <= 2 <= hi[-1]:
+            del levels[2 - lo[-1]][0]
+        return levels
 
-    monkeypatch.setattr(plethysm, "_dp_summands", lossy)
+    monkeypatch.setattr(plethysm, "_klimyk", lossy)
     code, out, _ = run(capsys, "verify", "--max-rank", "3")
     assert code == 1
     components = {c["name"]: c for c in json.loads(out)["components"]}
     paths = components.pop("fast path vs weight engine")
-    dropped = real(quadric(5), 2)[0].levi_dim
+    dropped = plethysm._kostant_levels(quadric(5))[2][0].levi_dim
     assert paths["failures"] == [
         {"space": "Q:5", "p": p, "method": "WeightDP", "expected": comb(5, p),
          "got": comb(5, p) - dropped} for p in (2, 3)]
     assert all(c["ok"] for c in components.values())
 
 
-def test_verify_pool_builds_each_dp_table_once():
-    # one pool task per space: no two threads run the DP of one space, and
-    # no answer is computed twice
-    plethysm._route_summands.cache_clear()
-    plethysm._tables.cache_clear()
+def test_verify_pool_builds_each_dp_table_once(cold_answers):
+    # one pool task per space: no two threads run the engine pass of one
+    # space, and no answer is computed twice
     cli.run_verify(7)
     engine_spaces = [s for s in catalog.iter_catalog_specs(7) if s.dim <= 27]
-    tables = plethysm._tables.cache_info()
-    assert tables.misses == tables.currsize == len(engine_spaces)
+    passes = plethysm._engine_levels.cache_info()
+    assert passes.misses == passes.currsize == len(engine_spaces) == 39
     answers = plethysm._route_summands.cache_info()
     assert answers.misses == answers.currsize
 
@@ -238,7 +239,7 @@ def test_output_determinism(capsys):
     catalog._build.cache_clear()
     plethysm._route_summands.cache_clear()
     plethysm._kostant_levels.cache_clear()
-    plethysm._tables.cache_clear()
+    plethysm._engine_levels.cache_clear()
     args = ["verify", "--max-rank", "4"]
     code, cold, _ = run(capsys, *args)
     hits = plethysm._route_summands.cache_info().hits
@@ -252,6 +253,51 @@ def test_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["l"] == 3
+
+
+def _tamper_e6_grade_3(monkeypatch, change):
+    """Make the DP of E6 hand ``change`` the keys and counts of grade 3, the
+    middle of the Klimyk run 0..4, as arrays it may edit in place."""
+    real = plethysm._exterior_tables
+
+    def tampered(spec, max_grade):
+        lo, hi, states = real(spec, max_grade)
+        if spec.name == "E6" and max_grade >= 3:
+            keys, counts = states[3][0].copy(), states[3][1].copy()
+            states[3] = change(plethysm._decode(keys, lo, hi), keys, counts)
+        return lo, hi, states
+
+    monkeypatch.setattr(plethysm, "_exterior_tables", tampered)
+
+
+def _drop_a_row(rows, keys, counts):
+    # the last row that a Levi reflection moves (E6 is marked at node 1);
+    # its count goes to the first row, so the DP's mass check still passes
+    moved = np.flatnonzero(rows[:, 1:].any(axis=1))[-1]
+    counts[0] += counts[moved]
+    return np.delete(keys, moved), np.delete(counts, moved)
+
+
+def _shift_a_count(rows, keys, counts):
+    moved = np.flatnonzero(rows[:, 1:].any(axis=1))[-1]
+    counts[moved] -= 1
+    counts[0] += 1
+    return keys, counts
+
+
+@pytest.mark.parametrize("change", [_drop_a_row, _shift_a_count])
+def test_engine_pass_catches_a_defect_inside_a_run(capsys, monkeypatch,
+                                                  cold_answers, change):
+    # grades 0..4 of E6 share one invariance check; a grade 3 that lost
+    # its W_L symmetry must fail it, in the library and in the CLI
+    _tamper_e6_grade_3(monkeypatch, change)
+    with pytest.raises(plethysm.DecompositionError, match="E6: .*not invariant"):
+        plethysm.omega_decompose(catalog.cayley(), 3, method="WeightDP")
+    code, out, err = run(capsys, "omega", "decompose", "--space", "E6",
+                         "--p", "3", "--method", "WeightDP")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: DecompositionError: E6: ")
 
 
 def test_internal_failure_has_its_own_exit_code(capsys):

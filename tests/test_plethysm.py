@@ -3,6 +3,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cominuscule import plethysm
 from cominuscule.catalog import (
@@ -92,11 +93,17 @@ def test_freudenthal_row_nine():
     assert len(weights) == 3
 
 
+def _dominant_entries(ws, levi):
+    """Entries of a weight multiset whose weight is Levi-dominant; with
+    Levi-Weyl symmetry they determine the whole multiset."""
+    return {w: c for w, c in ws.entries.items() if levi.is_dominant(w)}
+
+
 def test_decompose_rejects_inconsistent_multiset():
     # the dominant entries alone, with the count of a non-maximal one
     # lowered: not a Levi-Weyl-invariant multiset
     spec = quadric(5)
-    entries = omega_p_weights(spec, 2).dominant_entries(spec.levi)
+    entries = _dominant_entries(omega_p_weights(spec, 2), spec.levi)
     assert len(entries) >= 2
     # height: the sum of the simple-root coordinates C^{-1} w
     inv = spec.ambient.inverse_cartan
@@ -230,6 +237,51 @@ def test_duality_shortcut_matches_direct_dp():
             assert via_duality.summands == direct, (spec.name, p)
 
 
+def test_engine_pass_equals_the_per_grade_path(cold_answers):
+    # the batched Klimyk runs of one engine pass against one DP and one
+    # decompose per grade, on every grade the pass computes directly
+    specs = [s for s in iter_catalog_specs(7) if s.dim <= 27]
+    assert len(specs) == 39
+    for spec in specs:
+        levels = plethysm._engine_levels(spec)
+        for p in range(spec.dim // 2 + 1):
+            direct = tuple(decompose(omega_p_weights(spec, p), spec))
+            assert levels[p] == direct, (spec.name, p)
+
+
+def test_engine_runs_hold_no_more_rows_than_the_largest_grade(monkeypatch,
+                                                             cold_answers):
+    # each Klimyk run is a block of consecutive grades of the DP whose rows
+    # add up to at most those of its largest grade, so batching never
+    # raises the working set above what one grade needs
+    grades, runs = {}, []
+    real_dp, real_klimyk = plethysm._exterior_tables, plethysm._klimyk
+
+    def dp(spec, max_grade):
+        lo, hi, states = real_dp(spec, max_grade)
+        grades[spec.name] = [len(keys) for keys, _ in states]
+        return lo, hi, states
+
+    def klimyk(spec, keys, counts, lo, hi):
+        runs.append((spec.name, int(lo[-1]), int(hi[-1]), len(keys)))
+        return real_klimyk(spec, keys, counts, lo, hi)
+
+    monkeypatch.setattr(plethysm, "_exterior_tables", dp)
+    monkeypatch.setattr(plethysm, "_klimyk", klimyk)
+    for spec in (quadric(12), lagrangian(4), spinor(7), cayley(), freudenthal()):
+        plethysm._engine_levels(spec)
+        sizes = grades[spec.name]
+        assert len(sizes) == spec.dim // 2 + 1
+        mine = [r[1:] for r in runs if r[0] == spec.name]
+        assert [g for first, last, _ in mine for g in range(first, last + 1)] \
+            == list(range(len(sizes))), spec.name
+        for first, last, rows in mine:
+            assert rows == sum(sizes[first:last + 1]) <= max(sizes), spec.name
+    assert max(grades["E7"]) == 71307
+    assert [r[1:3] for r in runs if r[0] == "E7"] == [
+        (0, 8), (9, 9), (10, 10), (11, 11), (12, 12), (13, 13)]
+
+
 def test_engine_stops_at_half_the_dimension(dp_horizons, cold_answers):
     # every grade of an engine space is answered from DP tables that reach
     # grade dim // 2 and no further
@@ -274,8 +326,31 @@ def test_engine_summands_reexpand_to_the_weight_multiset(spec, top):
         summed = Counter()
         for s in omega_decompose(spec, p, method="WeightDP").summands:
             summed.update(levi.dominant_weight_multiplicities(s.highest_weight))
-        assert summed == omega_p_weights(spec, p).dominant_entries(levi), \
+        assert summed == _dominant_entries(omega_p_weights(spec, p), levi), \
             (spec.name, p)
+
+
+DUALITY_SPECS = [s for s in iter_catalog_specs(8) if s.dim <= 27]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_engine_duality_against_direct_grades(data):
+    # grade dim - p of the forced engine against a direct DP and decompose
+    # of that grade, which never goes through the engine's duality, and
+    # against the Levi dual of grade p twisted by the canonical weight -c1 l_k
+    spec = data.draw(st.sampled_from(DUALITY_SPECS))
+    p = data.draw(st.integers(0, spec.dim))
+    q = spec.dim - p
+    engine = omega_decompose(spec, q, method="WeightDP").summands
+    assert engine == tuple(decompose(omega_p_weights(spec, q), spec))
+    k = spec.marked_node - 1
+    dual = []
+    for s in omega_decompose(spec, p, method="WeightDP").summands:
+        w = list(spec.levi.dual_highest_weight(s.highest_weight))
+        w[k] -= spec.index_c1
+        dual.append(tuple(w))
+    assert sorted(s.highest_weight for s in engine) == sorted(dual)
 
 
 def test_duality_small_rank():
