@@ -7,7 +7,7 @@ Four routes produce the same answer and are tested against each other:
   partition of p inside the k x (n-k) box;
 * ``hooks_decompose``: the symplectic/orthogonal fast paths, indexed by the
   arm = leg +- 1 hook classes;
-* ``_kostant_levels``: Kostant's theorem, one summand of highest weight
+* ``_kostant_summands``: Kostant's theorem, one summand of highest weight
   w rho - rho per minimal coset representative w of length p, for every
   family; the route ``auto`` takes for the quadrics and the exceptional
   spaces;
@@ -17,6 +17,9 @@ Four routes produce the same answer and are tested against each other:
   them in vectorized passes of Levi reflections.  It runs only when forced
   (``method="WeightDP"``), as the independent check of the other three.
 
+Only the engine uses numpy, and it imports numpy inside its functions, so
+the other three routes never load it.
+
 The engine makes one pass per space.  Its DP runs once to floor(dim/2) on
 int64 mixed-radix keys in one box of weights (``_radix``; a space whose box
 does not fit 64 bits is refused before any allocation) and hands the keys of
@@ -24,8 +27,10 @@ each run of consecutive grades, the grade as one more key coordinate,
 straight to the Klimyk pass.  The upper half comes from the duality
 ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
 
-Kostant's route and the engine keep every grade of a space in one bounded
-cache each.  Answers are cached per (space, p, route) in one bounded cache,
+Kostant's route caches the coset points of every grade of a space and
+computes the summands, with their Levi dimensions, only for the grade asked;
+the engine caches the summands of every grade.  Both caches are bounded.
+Answers are cached per (space, p, route) in one bounded cache,
 so a forced engine answer is never served from another route's entry or the
 reverse; the rank identity is checked on every call, cached or not.
 """
@@ -35,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, prod
 
-import numpy as np
 
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
@@ -68,6 +72,7 @@ class WeightMultiset:
 
     @classmethod
     def from_entries(cls, grade: int, entries: dict[Weight, int]) -> "WeightMultiset":
+        import numpy as np
         keys = sorted(entries)
         rows = np.asarray(keys, dtype=np.int16)
         counts = np.asarray([entries[k] for k in keys], dtype=np.int64)
@@ -164,6 +169,7 @@ def _radix(lo: np.ndarray, hi: np.ndarray, name: str) -> np.ndarray:
     inside the box lo..hi: the key of a row w is ``(w - lo) @ place``.  The
     last coordinate is the most significant, so sorting keys sorts rows the
     way the DP emits them."""
+    import numpy as np
     place = [1]
     for span in (hi - lo + 1).tolist():
         place.append(place[-1] * span)
@@ -176,6 +182,7 @@ def _radix(lo: np.ndarray, hi: np.ndarray, name: str) -> np.ndarray:
 def _encode(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
     """Keys of integer rows inside the box from lo, column by column (a
     single matrix product would hold an int64 copy of every row)."""
+    import numpy as np
     keys = np.zeros(len(rows), dtype=np.int64)
     for j, p in enumerate(place.tolist()):
         keys += (rows[:, j] - lo[j]) * p
@@ -184,6 +191,7 @@ def _encode(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
 
 def _decode(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int16 rows of the keys of the box lo..hi, stored column by column."""
+    import numpy as np
     rows = np.empty((len(keys), len(lo)), dtype=np.int16, order="F")
     for j, span in enumerate((hi - lo + 1).tolist()):
         keys, digit = np.divmod(keys, span)
@@ -193,6 +201,7 @@ def _decode(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _group(keys: np.ndarray, counts: np.ndarray):
     """Sort int64 keys, summing the counts of equal keys."""
+    import numpy as np
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     counts = counts[order]
@@ -212,6 +221,7 @@ def _exterior_tables(spec: GrassmannianSpec, max_grade: int):
     ``_radix`` key in that box, so adding a root is adding one scalar.
     Returns lo, hi and per grade a pair (keys, counts), keys sorted.
     """
+    import numpy as np
     arr = -np.asarray(nilradical_roots(spec), dtype=np.int64)
     lo = np.minimum(arr, 0).sum(axis=0)
     hi = np.maximum(arr, 0).sum(axis=0)
@@ -254,6 +264,7 @@ def _check_levi_invariant(spec: GrassmannianSpec, rows: np.ndarray,
     -v alpha_i, which keeps the key order; so with both sides sorted stably
     by |mu_i|, every row must sit opposite its own image.
     """
+    import numpy as np
     alpha = spec.ambient.simple_roots
     for i in spec.levi.nodes:
         broken = f"{spec.name}: weight multiset is not invariant under s_{i + 1}"
@@ -284,6 +295,7 @@ def _klimyk(spec: GrassmannianSpec, keys: np.ndarray, counts: np.ndarray,
     last coordinate is the grade, which the simple roots leave at 0: one
     invariance check, reflection loop and grouping serve the whole run.
     """
+    import numpy as np
     levi, rank = spec.levi, spec.ambient.rank
     if counts.min() < 0 or int(counts.max()) * len(counts) >= 2 ** 63:
         raise DecompositionError(f"{spec.name}: counts out of range")
@@ -365,6 +377,7 @@ def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSum
     formula needs it), every resulting multiplicity is nonnegative, and the
     Levi dimensions add up to the multiset's size.
     """
+    import numpy as np
     rows = ws._rows
     lo = np.append(rows.min(axis=0), ws.grade).astype(np.int64)
     hi = np.append(rows.max(axis=0), ws.grade).astype(np.int64)
@@ -397,6 +410,7 @@ def _engine_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ..
     rows than its largest grade go through ``_klimyk`` in the DP's box, the
     grade one more coordinate.  Grades above dim // 2 are dual to those below.
     """
+    import numpy as np
     half = spec.dim // 2
     lo, hi, states = _exterior_tables(spec, half)
     box = prod((hi - lo + 1).tolist())
@@ -431,9 +445,9 @@ KOSTANT_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=KOSTANT_CACHE_SIZE)
-def _kostant_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ...], ...]:
-    """Summands of every grade 0..dim of the exterior algebra, by Kostant's
-    theorem.
+def _kostant_levels(spec: GrassmannianSpec) -> tuple[tuple[Weight, ...], ...]:
+    """The points w rho of the minimal coset representatives w of each
+    length 0..dim, each level sorted descending.
 
     The cotangent space is an abelian nilradical, so its p-th exterior power
     is its Lie algebra cohomology H^p, which is multiplicity-free with one
@@ -443,37 +457,52 @@ def _kostant_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, .
     exactly the ones with w rho strictly Levi-dominant, and dropping the
     last letter of a reduced word keeps w minimal, so the representatives
     grow level by level by right multiplication.  Each w is carried as w rho
-    in fundamental coordinates and the images w alpha_j in simple-root
-    coordinates: w s_i is longer exactly when w alpha_i > 0, then
-    w s_i rho = w rho - w alpha_i, and w s_i is kept when that point is
-    still strictly Levi-dominant, once per point; its images are
-    (w s_i) alpha_j = w alpha_j - <alpha_j, alpha_i^vee> w alpha_i.
+    and the images w alpha_j, both in fundamental coordinates, with the
+    heights of the w alpha_j: w s_i is longer exactly when w alpha_i has
+    positive height, then w s_i rho = w rho - w alpha_i.  Since s_i permutes
+    the positive roots other than alpha_i, w s_i stays minimal unless
+    w alpha_i is a simple Levi root alpha_j, when the step takes coordinate
+    j of the point from 1 to -1; each kept point is checked strictly
+    Levi-dominant, and kept once.  Its images are (w s_i) alpha_j = w alpha_j - <alpha_j, alpha_i^vee>
+    w alpha_i, so only the images of i and its neighbours in the diagram
+    change.
     """
-    cartan = np.asarray(spec.ambient.cartan, dtype=np.int64)
-    levi = np.asarray(spec.levi.nodes, dtype=np.intp)
-    points = np.ones((1, spec.ambient.rank), dtype=np.int64)
-    images = np.eye(spec.ambient.rank, dtype=np.int64)[None]
+    ambient, levi = spec.ambient, spec.levi.nodes
+    walls = {ambient.simple_roots[j] for j in levi}
+    touch = [[(j, g) for j, g in enumerate(row) if g] for row in ambient.cartan]
+    level = {(1,) * ambient.rank: ([1] * ambient.rank, list(ambient.simple_roots))}
     levels = []
-    for p in range(spec.dim + 1):
-        levels.append(tuple(sorted(
-            (_make_summand(spec, tuple(w), p) for w in (points - 1).tolist()),
-            key=lambda s: s.highest_weight, reverse=True)))
-        e, i = np.nonzero(images.min(axis=2) >= 0)
-        roots = images[e, i]
-        new = points[e] - roots @ cartan.T
-        keep = (new[:, levi] > 0).all(axis=1)
-        points, first = np.unique(new[keep], axis=0, return_index=True)
-        e, i, roots = e[keep][first], i[keep][first], roots[keep][first]
-        images = images[e] - cartan[i][:, :, None] * roots[:, None, :]
-    if len(points):
+    for _ in range(spec.dim + 1):
+        levels.append(tuple(sorted(level, reverse=True)))
+        nxt: dict = {}
+        for point, (heights, images) in level.items():
+            for i, h in enumerate(heights):
+                root = images[i]
+                if h <= 0 or h == 1 and root in walls:
+                    continue
+                new = tuple(x - y for x, y in zip(point, root))
+                if new in nxt:
+                    continue
+                if not all(new[j] > 0 for j in levi):
+                    raise DecompositionError(
+                        f"{spec.name}: coset point {new} is not strictly Levi-dominant")
+                hs, ims = heights[:], images[:]
+                for j, g in touch[i]:
+                    hs[j] -= g * h
+                    ims[j] = tuple(x - g * y for x, y in zip(images[j], root))
+                nxt[new] = (hs, ims)
+        level = nxt
+    if level:
         raise DecompositionError(
             f"{spec.name}: a minimal coset representative is longer than {spec.dim}")
     return tuple(levels)
 
 
 def _kostant_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:
-    """Kostant summands of grade p, read off the cached levels of the space."""
-    return _kostant_levels(spec)[p]
+    """Kostant summands of grade p, sorted descending: highest weight
+    w rho - rho for each cached point w rho of length p."""
+    return tuple(_make_summand(spec, tuple(x - 1 for x in point), p)
+                 for point in _kostant_levels(spec)[p])
 
 
 # -- fast paths --------------------------------------------------------------------

@@ -5,14 +5,21 @@ node numbering throughout (E6 and E7 are numbered so that the branch node
 attaches at node 4).  All arithmetic is exact and integer: rationals appear
 only in the public ``pairing`` and ``inverse_cartan``; no floating point.
 
-Every derived table is read off the simple-root coordinates c(alpha) of the
-positive roots and the norms |alpha_i|^2.  Since (l_i, alpha) =
-c_i(alpha) |alpha_i|^2 / 2, the rows 2(l_i, alpha) form one integer table
-that serves Weyl dimensions and Freudenthal's formula.  The Casimir identity
-``sum_{alpha > 0} (lambda, alpha) alpha = h^vee lambda`` (Bourbaki, Lie
-Groups and Lie Algebras, VI.1.12; h^vee the dual Coxeter number) gives the
-inverse Cartan matrix without elimination:
-``2 h^vee C^{-1} = c^T c diag(|alpha_i|^2)``, checked exactly on construction.
+Every derived table is read off the simple-root coordinates c(beta) of the
+positive roots and the norms |alpha_i|^2, through one parent table: every
+non-simple positive root is beta = beta' + alpha_i with beta' positive
+(Humphreys, Introduction to Lie Algebras and Representation Theory, 10.2),
+so the roots form a tree over the simple roots.  Since (l_i, beta) =
+c_i(beta) |alpha_i|^2 / 2, any linear function of beta, such as
+2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1), is its parent's
+value plus one term: a Weyl dimension is one pass down the tree and one
+product.  A Levi subsystem's tree is the ambient tree restricted.  The
+Casimir identity ``sum_{beta > 0} (lambda, beta) beta = h^vee lambda``
+(Bourbaki, Lie Groups and Lie Algebras, VI.1.12; h^vee the dual Coxeter
+number) gives the inverse Cartan matrix without elimination:
+``2 h^vee C^{-1} = G diag(|alpha_i|^2)`` with G the Gram matrix
+``sum_beta c(beta) c(beta)^T``, read off the tree and checked exactly on
+construction.  Everything is pure Python integers, which cannot overflow.
 
 The invariant form is normalized so that long roots have squared length 2.
 Published tables sometimes use a different global scale (e.g. the type-C
@@ -27,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-
-import numpy as np
 
 Weight = tuple[int, ...]
 
@@ -120,6 +125,38 @@ def negate(w: Weight) -> Weight:
     return tuple(-x for x in w)
 
 
+def _chain_product(chain, v) -> int:
+    """prod over the roots beta of a parent table of sum_i c_i(beta) v_i,
+    each value being its parent's plus v_i."""
+    vals: list[int] = []
+    append = vals.append
+    for parent, i in chain:
+        append(v[i] if parent < 0 else vals[parent] + v[i])
+    return prod(vals)
+
+
+def _gram(rank: int, chain) -> list[list[int]]:
+    """The Gram matrix sum_beta c(beta) c(beta)^T of a parent table.
+
+    c(beta) counts the labels on the path from a simple root to beta, so a
+    pair (ancestor-or-self u, node v) lies on the paths of the roots of the
+    subtree of v: it adds that subtree's size at (label u, label v) and, for
+    u != v, at (label v, label u).  O(sum of heights) steps.
+    """
+    size = [1] * len(chain)
+    for v in range(len(chain) - 1, -1, -1):
+        if chain[v][0] >= 0:
+            size[chain[v][0]] += size[v]
+    gram = [[0] * rank for _ in range(rank)]
+    for (u, j), n in zip(chain, size):
+        gram[j][j] += n
+        while u >= 0:
+            u, i = chain[u]
+            gram[i][j] += n
+            gram[j][i] += n
+    return gram
+
+
 class RootSystem:
     """Cartan data and exact weight arithmetic for one simple type.
 
@@ -138,7 +175,8 @@ class RootSystem:
             tuple(self.cartan[i][j] for i in range(self.rank))
             for j in range(self.rank)
         )
-        self.positive_roots, self.positive_root_coords = self._generate_positive_roots()
+        (self.positive_roots, self.positive_root_coords,
+         self._chain) = self._generate_positive_roots()
         expected = _POSITIVE_COUNTS[lie_type.family](self.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
@@ -147,44 +185,50 @@ class RootSystem:
             )
         self._all_nodes = tuple(range(self.rank))
 
-        # Integer tables from the simple-root coordinates c (module docstring).
-        c = np.asarray(self.positive_root_coords, dtype=np.int64)
-        norms = np.asarray(self.simple_root_norms, dtype=np.int64)
-        self._root_pairs = c * norms
-        self._root_pairs.flags.writeable = False
-        inv = (c.T @ c) * norms
-        cartan_inv = np.asarray(self.cartan, dtype=np.int64) @ inv
-        two_h = int(cartan_inv[0, 0])
-        if two_h % 2 or (cartan_inv != two_h * np.eye(self.rank, dtype=np.int64)).any():
+        # Integer tables from the parent tree of the positive roots (module
+        # docstring): 2 h^vee C^{-1} = G D, checked over the sparse rows of C.
+        norms = self.simple_root_norms
+        inv = [[g * n for g, n in zip(row, norms)]
+               for row in _gram(self.rank, self._chain)]
+        sparse = [[(t, g) for t, g in enumerate(row) if g] for row in self.cartan]
+        cartan_inv = [[sum(g * inv[t][j] for t, g in row) for j in range(self.rank)]
+                      for row in sparse]
+        two_h = cartan_inv[0][0]
+        if two_h % 2 or any(x != (two_h if i == j else 0)
+                            for i, row in enumerate(cartan_inv)
+                            for j, x in enumerate(row)):
             raise AssertionError(
                 f"{lie_type}: Casimir identity fails, C c^T c D is not 2h I")
         self.dual_coxeter = two_h // 2
         # 2 h^vee C^{-1}: column j holds the simple-root coordinates of
         # 2 h^vee l_j, and 4 h^vee (l_i, l_j) is |alpha_i|^2 times entry [i][j].
-        self.scaled_inverse_cartan = tuple(tuple(row) for row in inv.tolist())
+        self.scaled_inverse_cartan = tuple(map(tuple, inv))
         self.inverse_cartan = tuple(
             tuple(Fraction(x, two_h) for x in row)
             for row in self.scaled_inverse_cartan
         )
-        row_sums = self._root_pairs.sum(axis=1).tolist()
-        self._max_row_sum = max(row_sums)
-        self._weyl_den = prod(row_sums)
+        self._weyl_den = _chain_product(self._chain, self.simple_root_norms)
 
     # -- construction helpers -------------------------------------------------
 
     def _generate_positive_roots(self):
-        """All positive roots by reflection closure from the simple roots.
+        """All positive roots by reflection closure from the simple roots,
+        with the parent table ``(parent, i)`` of each: beta = parent + alpha_i,
+        the parent -1 for a simple root.
 
         For a positive root beta with <beta, alpha_i^vee> = -m < 0, s_i beta
         = beta + m alpha_i is a positive root of greater height, and every
         positive root arises from a simple root by such steps (Humphreys,
         Introduction to Lie Algebras and Representation Theory, 10.2-10.3).
-        A step can raise the height by 2 (types B and C), so duplicates are
-        caught across all levels.  Sorted by (height, coordinates).
+        The alpha_i-string from beta to s_i beta is unbroken, so s_i beta -
+        alpha_i is a positive root: the unit-step parent.  A step can raise
+        the height by 2 (types B and C), so duplicates are caught across all
+        levels.  Sorted by (height, coordinates), so parents come first.
         """
         r = self.rank
         coords = {tuple(int(i == j) for j in range(r)): w
                   for i, w in enumerate(self.simple_roots)}
+        label = {c: i for i, c in enumerate(coords)}
         level = list(coords)
         while level:
             nxt = []
@@ -196,10 +240,19 @@ class RootSystem:
                         if c2 not in coords:
                             coords[c2] = tuple(
                                 x - m * y for x, y in zip(w, self.simple_roots[i]))
+                            label[c2] = i
                             nxt.append(c2)
             level = nxt
         ordered = sorted(coords, key=lambda c: (sum(c), c))
-        return tuple(coords[c] for c in ordered), tuple(ordered)
+        index = {c: n for n, c in enumerate(ordered)}
+        chain = []
+        for c in ordered:
+            i = label[c]
+            parent = -1 if sum(c) == 1 else index.get(c[:i] + (c[i] - 1,) + c[i + 1:])
+            if parent is None:
+                raise AssertionError(f"{self.lie_type}: root {c} has no parent")
+            chain.append((parent, i))
+        return tuple(coords[c] for c in ordered), tuple(ordered), tuple(chain)
 
     # -- exact pairing ---------------------------------------------------------
 
@@ -293,14 +346,14 @@ class RootSystem:
         """
         if not is_dominant(w):
             raise ValueError(f"weight {w} is not dominant")
-        return self._weyl_dim(self._root_pairs, self._weyl_den, w)
+        return self._weyl_dim(self._chain, self._weyl_den, w)
 
-    def _weyl_dim(self, pairs: np.ndarray, den: int, w: Weight) -> int:
-        """prod 2<w + rho, alpha> / den over the rows 2(l_i, alpha) of pairs,
-        den being prod 2<rho, alpha>; rho has every coordinate 1."""
-        if (max(abs(x) for x in w) + 1) * self._max_row_sum >= 2 ** 63:
-            raise ValueError(f"weight {w} is too large for the Weyl dimension")
-        num = prod((pairs @ (np.asarray(w, dtype=np.int64) + 1)).tolist())
+    def _weyl_dim(self, chain, den: int, w: Weight) -> int:
+        """prod 2<w + rho, beta> / den over the roots of a parent table, den
+        being prod 2<rho, beta>; rho has every coordinate 1, and
+        2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1)."""
+        num = _chain_product(chain, [n * (x + 1) for n, x in
+                                     zip(self.simple_root_norms, w)])
         q, r = divmod(num, den)
         if r:
             raise AssertionError("Weyl dimension did not come out integral")
@@ -311,7 +364,7 @@ class RootSystem:
         if not is_dominant(w):
             raise ValueError(f"weight {w} is not dominant")
         return self._freudenthal(w, self._all_nodes, self.positive_roots,
-                                 self._root_pairs)
+                                 self.positive_root_coords)
 
     def weight_system(self, w: Weight) -> dict[Weight, int]:
         """Full weight multiset of V_w, extended from the dominant chamber by
@@ -322,15 +375,15 @@ class RootSystem:
                 out[v] = mult
         return out
 
-    def _freudenthal(self, highest, nodes, pos_roots, pairs) -> dict[Weight, int]:
+    def _freudenthal(self, highest, nodes, pos_roots, coords) -> dict[Weight, int]:
         """Freudenthal recursion restricted to the (parabolic) dominant chamber.
 
         Works in full fundamental coordinates with the ambient pairing; for a
         Levi subsystem this is legitimate because the orthogonal complement of
         the subsystem's root span pairs to zero with its roots, so every
         pairing in the recursion only sees the subsystem component, and rho
-        may have every coordinate 1.  ``pairs`` holds the rows 2(l_i, alpha)
-        of ``pos_roots``.
+        may have every coordinate 1.  ``coords`` holds the simple-root
+        coordinates of ``pos_roots``.
         """
         highest = tuple(highest)
         # Candidate set: all chamber-dominant weights below the highest weight
@@ -353,7 +406,8 @@ class RootSystem:
                         nxt.append(nu)
             frontier = nxt
 
-        pairs = pairs.tolist()
+        # rows 2(l_i, alpha) = c_i(alpha) |alpha_i|^2
+        pairs = [[x * n for x, n in zip(c, self.simple_root_norms)] for c in coords]
         alpha_sq = [sum(x * y for x, y in zip(a, pa))
                     for a, pa in zip(pos_roots, pairs)]
         top_shift = tuple(2 * x + 2 for x in highest)  # 2(highest + rho)
@@ -423,12 +477,19 @@ class LeviSubsystem:
         self.node = node
         self._k = node - 1
         self.nodes = tuple(i for i in range(ambient.rank) if i != self._k)
-        levi = [coord[self._k] == 0 for coord in ambient.positive_root_coords]
-        self.positive_roots = tuple(
-            root for root, keep in zip(ambient.positive_roots, levi) if keep)
-        self._pairs = ambient._root_pairs[np.asarray(levi)]
-        self._pairs.flags.writeable = False
-        self._weyl_den = prod(self._pairs.sum(axis=1).tolist())
+        # The ambient parent table restricted: a Levi root has c_k = 0, so
+        # its label is not k and its parent has c_k = 0 too.
+        keep = [n for n, c in enumerate(ambient.positive_root_coords)
+                if c[self._k] == 0]
+        index = {n: m for m, n in enumerate(keep)}
+        index[-1] = -1
+        self._chain = tuple((index.get(ambient._chain[n][0]), ambient._chain[n][1])
+                            for n in keep)
+        if any(parent is None for parent, _ in self._chain):
+            raise AssertionError(f"{self}: a Levi root has a non-Levi parent")
+        self.positive_roots = tuple(ambient.positive_roots[n] for n in keep)
+        self._coords = tuple(ambient.positive_root_coords[n] for n in keep)
+        self._weyl_den = _chain_product(self._chain, ambient.simple_root_norms)
 
     def is_dominant(self, w: Weight) -> bool:
         return all(w[i] >= 0 for i in self.nodes)
@@ -440,7 +501,7 @@ class LeviSubsystem:
         """Dimension of the irreducible Levi module with highest weight w."""
         if not self.is_dominant(w):
             raise ValueError(f"weight {w} is not Levi-dominant")
-        return self.ambient._weyl_dim(self._pairs, self._weyl_den, w)
+        return self.ambient._weyl_dim(self._chain, self._weyl_den, w)
 
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the Levi-dominant weights of the
@@ -448,7 +509,7 @@ class LeviSubsystem:
         if not self.is_dominant(w):
             raise ValueError(f"weight {w} is not Levi-dominant")
         return self.ambient._freudenthal(w, self.nodes, self.positive_roots,
-                                         self._pairs)
+                                         self._coords)
 
     def dual_highest_weight(self, w: Weight) -> Weight:
         """Highest weight of the dual Levi module: the dominant representative

@@ -206,7 +206,7 @@ def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
     assert code == 1
     components = {c["name"]: c for c in json.loads(out)["components"]}
     paths = components.pop("fast path vs weight engine")
-    dropped = plethysm._kostant_levels(quadric(5))[2][0].levi_dim
+    dropped = plethysm._kostant_summands(quadric(5), 2)[0].levi_dim
     assert paths["failures"] == [
         {"space": "Q:5", "p": p, "method": "WeightDP", "expected": comb(5, p),
          "got": comb(5, p) - dropped} for p in (2, 3)]

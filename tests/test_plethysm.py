@@ -27,7 +27,7 @@ from cominuscule.plethysm import (
     omega_p_weights,
     twist_via_lemma,
 )
-from cominuscule.rootsys import negate
+from cominuscule.rootsys import LeviSubsystem, negate
 
 
 def test_omega_weights_grade_zero_and_top():
@@ -470,24 +470,39 @@ def test_kostant_route_equals_the_engine_up_to_rank_7(cold_answers):
     specs = list(iter_catalog_specs(7))
     assert {s.family for s in specs} == set(FAMILIES)
     for spec in specs:
-        levels = plethysm._kostant_levels(spec)
-        assert len(levels) == spec.dim + 1, spec.name
+        assert len(plethysm._kostant_levels(spec)) == spec.dim + 1, spec.name
         for p in range(spec.dim + 1):
             engine = omega_decompose(spec, p, method="WeightDP").summands
-            assert levels[p] == engine, (spec.name, p)
+            assert plethysm._kostant_summands(spec, p) == engine, (spec.name, p)
+
+
+def test_kostant_pays_only_for_the_grade_asked(monkeypatch, cold_answers):
+    # the coset points of every grade are cached, but a question about one
+    # grade computes the Levi dimensions of that grade's summands only
+    spec = quadric(30)
+    calls = []
+    real = LeviSubsystem.weyl_dim
+
+    def counting(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(LeviSubsystem, "weyl_dim", counting)
+    report = omega_decompose(spec, 2)
+    assert len(calls) == len(report.summands) == 1
 
 
 def test_kostant_levels_equal_the_partition_fast_paths():
     specs = [grassmannian(k, n) for n in range(2, 9) for k in range(1, n // 2 + 1)]
     specs += [lagrangian(n) for n in range(2, 6)] + [spinor(n) for n in range(3, 7)]
     for spec in specs:
-        levels = plethysm._kostant_levels(spec)
         for p in range(spec.dim + 1):
             if spec.family == "grassmannian":
                 fast = cauchy_decompose(*spec.params, p)
             else:
                 fast = hooks_decompose(spec, p)
-            assert levels[p] == tuple(s for _, s in fast), (spec.name, p)
+            kostant = plethysm._kostant_summands(spec, p)
+            assert kostant == tuple(s for _, s in fast), (spec.name, p)
 
 
 def _quadric_weights(spec, p):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cominuscule
@@ -50,3 +53,61 @@ def test_every_cache_in_the_library_is_bounded():
                 if not (type(size) is int and size > 0):
                     found.append(f"{path.name}:{deco.lineno}")
     assert not found, found
+
+
+def test_no_module_level_numpy_import():
+    # only the weight engine needs arrays, and it imports numpy inside its
+    # functions; a module-level import would load numpy for every question
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import cominuscule, cominuscule.cli
+from cominuscule import (cayley, iter_catalog_specs, min_twist,
+                         nonvanishing_scan, omega_decompose, table_audit)
+for spec in iter_catalog_specs(8):
+    for p in range(spec.dim + 1):
+        omega_decompose(spec, p)
+        if p:
+            min_twist(spec, p)
+table_audit("E6")
+table_audit("E7")
+nonvanishing_scan(7)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cominuscule.cli.main(["min-twist", "--space", "G:2:5", "--p", "3"])
+assert code == 0, code
+assert "numpy" not in sys.modules, "numpy imported without the engine"
+spec = cayley()
+forced = omega_decompose(spec, 3, method="WeightDP")
+assert "numpy" in sys.modules
+assert forced.summands == omega_decompose(spec, 3).summands
+print("ok")
+"""
+
+
+def test_numpy_is_imported_only_by_the_forced_engine():
+    # a fresh interpreter answers every auto-route question without numpy,
+    # then the first forced-engine call loads it and agrees with Kostant
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0 and run.stdout.split() == ["ok"], run.stderr
