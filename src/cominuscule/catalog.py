@@ -62,6 +62,7 @@ class GrassmannianSpec:
     dim: int
     index_c1: int
     cotangent_weight: Weight
+    nilradical: tuple[Weight, ...] = field(compare=False, repr=False)
     ambient: RootSystem = field(compare=False, repr=False)
     levi: LeviSubsystem = field(compare=False, repr=False)
 
@@ -72,20 +73,11 @@ class GrassmannianSpec:
 def nilradical_roots(spec: GrassmannianSpec) -> list[Weight]:
     """Positive roots supported on the marked node.
 
-    For a cominuscule node the marked coefficient is always exactly 1; the
-    negatives of these roots are the weights of the cotangent bundle, and
-    there are dim X of them.
+    For a cominuscule node the marked coefficient is always exactly 1, which
+    the spec checked when it was built; the negatives of these roots are the
+    weights of the cotangent bundle, and there are dim X of them.
     """
-    k = spec.marked_node - 1
-    out = []
-    for root, coord in zip(spec.ambient.positive_roots,
-                           spec.ambient.positive_root_coords):
-        if coord[k]:
-            if coord[k] != 1:
-                raise AssertionError(
-                    f"{spec.name}: node {spec.marked_node} is not cominuscule")
-            out.append(root)
-    return out
+    return list(spec.nilradical)
 
 
 # The catalog has 40 specs up to rank 7 and 48 up to rank 8; the cap leaves
@@ -97,9 +89,12 @@ SPEC_CACHE_SIZE = 256
 def _build(family: str, params: tuple[int, ...], name: str,
            ambient: RootSystem, node: int) -> GrassmannianSpec:
     k = node - 1
-    nil = [root for root, coord in zip(ambient.positive_roots,
-                                       ambient.positive_root_coords)
-           if coord[k]]
+    nil = []
+    for root, coord in zip(ambient.positive_roots, ambient.positive_root_coords):
+        if coord[k]:
+            if coord[k] != 1:
+                raise AssertionError(f"{name}: node {node} is not cominuscule")
+            nil.append(root)
     dim = len(nil)
     total = [0] * ambient.rank
     for root in nil:
@@ -117,6 +112,7 @@ def _build(family: str, params: tuple[int, ...], name: str,
         dim=dim,
         index_c1=c1,
         cotangent_weight=cotangent,
+        nilradical=tuple(nil),
         ambient=ambient,
         levi=LeviSubsystem(ambient, node),
     )
@@ -264,31 +260,23 @@ def check_table1(spec: GrassmannianSpec) -> Table1Check:
     )
 
 
-def iter_catalog_specs(max_rank: int,
-                       families: tuple[str, ...] | None = None,
-                       ) -> Iterator[GrassmannianSpec]:
+def iter_catalog_specs(max_rank: int) -> Iterator[GrassmannianSpec]:
     """All catalog specs whose ambient rank is at most max_rank, normalized
     to k <= n - k for ordinary Grassmannians.  Deterministic order."""
     if max_rank < 2:
         raise ValueError("need max_rank >= 2")
-    wanted = set(families) if families is not None else set(FAMILIES)
     for n in range(2, max_rank + 2):  # ambient A_{n-1}
         for k in range(1, n // 2 + 1):
-            if "grassmannian" in wanted:
-                yield grassmannian(k, n)
+            yield grassmannian(k, n)
     for r in range(2, max_rank + 1):  # B_r
-        if "quadric_odd" in wanted:
-            yield quadric(2 * r - 1)
+        yield quadric(2 * r - 1)
     for r in range(3, max_rank + 1):  # D_r, node 1
-        if "quadric_even" in wanted:
-            yield quadric(2 * r - 2)
+        yield quadric(2 * r - 2)
     for n in range(2, max_rank + 1):
-        if "lagrangian" in wanted:
-            yield lagrangian(n)
+        yield lagrangian(n)
     for n in range(3, max_rank + 1):
-        if "spinor" in wanted:
-            yield spinor(n)
-    if max_rank >= 6 and "cayley" in wanted:
+        yield spinor(n)
+    if max_rank >= 6:
         yield cayley()
-    if max_rank >= 7 and "freudenthal" in wanted:
+    if max_rank >= 7:
         yield freudenthal()

@@ -134,17 +134,11 @@ def _component(name, checked, failures):
     }
 
 
-def _top(spec, max_p) -> int:
-    return spec.dim if max_p is None else min(spec.dim, max_p)
-
-
-def _verify_partitions(max_rank: int, families, max_p) -> dict:
+def _verify_partitions(max_rank: int) -> dict:
     failures = []
     checked = 0
     for family in ("A", "C", "D"):
-        if family not in families:
-            continue
-        for k, n, p, f, o in partitions.closed_form_cases(family, max_rank, max_p):
+        for k, n, p, f, o in partitions.closed_form_cases(family, max_rank):
             checked += 1
             if f != o.l:
                 failures.append({"family": family,
@@ -153,7 +147,7 @@ def _verify_partitions(max_rank: int, families, max_p) -> dict:
     return _component("partition formula vs oracle", checked, failures)
 
 
-def _verify_paths(max_rank: int, max_p, jobs: int) -> dict:
+def _verify_paths(max_rank: int, jobs: int) -> dict:
     """The auto route of every catalog space against the forced weight
     engine, one pool task per space running its grades in order, so no two
     threads build the same DP tables."""
@@ -161,7 +155,7 @@ def _verify_paths(max_rank: int, max_p, jobs: int) -> dict:
 
     def check(spec):
         failures = []
-        for p in range(0, _top(spec, max_p) + 1):
+        for p in range(0, spec.dim + 1):
             try:
                 dp = omega_decompose(spec, p, method="WeightDP")
             except RankIdentityError as exc:
@@ -182,21 +176,18 @@ def _verify_paths(max_rank: int, max_p, jobs: int) -> dict:
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(check, specs))
-    checked = sum(_top(spec, max_p) + 1 for spec in specs)
+    checked = sum(spec.dim + 1 for spec in specs)
     return _component("fast path vs weight engine", checked,
                       [f for r in results for f in r])
 
 
-def _verify_rank_identity(max_rank: int, max_p) -> dict:
+def _verify_rank_identity(max_rank: int) -> dict:
     failures = []
     checked = 0
     for spec in catalog.iter_catalog_specs(max_rank):
         if spec.dim > 36:
             continue
-        top = _top(spec, max_p)
-        if spec.family == "cayley":
-            top = min(top, 16)
-        for p in range(0, top + 1):
+        for p in range(0, spec.dim + 1):
             checked += 1
             try:
                 omega_decompose(spec, p)
@@ -258,29 +249,25 @@ def _verify_families(max_rank: int) -> dict:
     return _component("foliation family twist consistency", checked, failures)
 
 
-def run_verify(max_rank: int = 6, families=("A", "C", "D"), max_p=None,
-               jobs: int | None = None) -> tuple[int, dict]:
+def run_verify(max_rank: int = 6, jobs: int | None = None) -> tuple[int, dict]:
     """Run the batch verification suite; returns (exit_code, report)."""
     if max_rank < 2:
         raise ValueError("--max-rank must be at least 2")
-    if max_p is not None and max_p < 0:
-        raise ValueError("--max-p must be nonnegative")
     if jobs is None:
         jobs = min(8, os.cpu_count() or 1)
     elif jobs < 1:
         raise ValueError("--jobs must be at least 1")
     components = [
-        _verify_partitions(max_rank, families, max_p),
-        _verify_paths(max_rank, max_p, jobs),
-        _verify_rank_identity(max_rank, max_p),
+        _verify_partitions(max_rank),
+        _verify_paths(max_rank, jobs),
+        _verify_rank_identity(max_rank),
         _verify_tables(max_rank),
         _verify_nonvanishing(max_rank),
         _verify_families(max_rank),
     ]
     ok = all(c["ok"] for c in components)
     report = {
-        "config": {"max_rank": max_rank, "families": sorted(families),
-                   "max_p": max_p, "jobs": jobs},
+        "config": {"max_rank": max_rank, "jobs": jobs},
         "ok": ok,
         "components": components,
     }
@@ -324,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = ps.add_parser("verify", help="closed form vs oracle conformance")
     ver.add_argument("--family", choices=("A", "C", "D"), required=True)
     ver.add_argument("--max-rank", type=int, default=6)
-    ver.add_argument("--max-p", type=int, default=None)
     _add_common(ver)
 
     p = sub.add_parser("omega", help="exterior-power decompositions")
@@ -372,9 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="batch verification suite")
     p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--families", default="A,C,D",
-                   help="comma-separated subset of A,C,D")
-    p.add_argument("--max-p", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     _add_common(p)
     return top
@@ -416,8 +399,7 @@ def _cmd_partitions(args) -> int:
     rows = [{"family": args.family, "k": k, "n": n, "p": p,
              "formula_l": f, "oracle_l": o.l,
              "witnesses": [list(m) for m in o.partitions]}
-            for k, n, p, f, o in partitions.closed_form_cases(
-                args.family, args.max_rank, args.max_p)]
+            for k, n, p, f, o in partitions.closed_form_cases(args.family, args.max_rank)]
     ok = all(r["formula_l"] == r["oracle_l"] for r in rows)
     _emit(rows, args.format, args.out, csv_rows=rows,
           csv_fields=["family", "k", "n", "p", "formula_l", "oracle_l", "witnesses"])
@@ -500,12 +482,7 @@ def _cmd_foliation(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    families = tuple(f.strip().upper() for f in args.families.split(",") if f.strip())
-    bad = [f for f in families if f not in ("A", "C", "D")]
-    if bad:
-        raise ValueError(f"--families: unknown family {bad[0]!r}")
-    code, report = run_verify(max_rank=args.max_rank, families=families,
-                              max_p=args.max_p, jobs=args.jobs)
+    code, report = run_verify(max_rank=args.max_rank, jobs=args.jobs)
     rows = report["components"]
     _emit(report, args.format, args.out, csv_rows=rows,
           csv_fields=["name", "ok", "checked"])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import GrassmannianSpec, cayley, iter_catalog_specs
+from .catalog import GrassmannianSpec, cayley
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
 from .twists import min_twist
 
@@ -189,18 +189,16 @@ def foliation_atlas(max_rank: int) -> list[FoliationFamilyReport]:
     """All minimal-degree families the catalog affords up to an ambient rank:
     minimal rectangles, all symplectic/orthogonal parameters, and the Cayley
     family.  Sorted by (space, p) for deterministic output."""
+    if max_rank < 2:
+        raise ValueError("need max_rank >= 2")
     rows: list[FoliationFamilyReport] = []
-    for spec in iter_catalog_specs(max_rank, families=("grassmannian",)):
-        k, n = spec.params
-        if n < 2 * k:
-            continue
-        for p in range(1, k * (n - k) + 1):
-            rows.extend(r for r in rect_family(k, n, p) if r.minimal)
-    for spec in iter_catalog_specs(max_rank, families=("lagrangian",)):
-        n = spec.params[0]
+    for n in range(2, max_rank + 2):  # G(k, n) with k <= n - k, ambient A_{n-1}
+        for k in range(1, n // 2 + 1):
+            for p in range(1, k * (n - k) + 1):
+                rows.extend(r for r in rect_family(k, n, p) if r.minimal)
+    for n in range(2, max_rank + 1):  # IG:n, ambient C_n
         rows.extend(symplectic_family(n, a) for a in range(1, n))
-    for spec in iter_catalog_specs(max_rank, families=("spinor",)):
-        n = spec.params[0]
+    for n in range(3, max_rank + 1):  # OG:n, ambient D_n
         rows.extend(orthogonal_family(n, a) for a in range(1, n - 1))
     if max_rank >= 6:
         rows.append(cayley_family())

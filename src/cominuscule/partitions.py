@@ -171,12 +171,8 @@ def min_twist_lagr(p: int) -> int:
     ceil(sqrt(2p) + 1/2), evaluated exactly."""
     if p < 1:
         raise ValueError("need p >= 1")
-    l = (isqrt(8 * p) + 1) // 2
-    while (2 * l - 1) ** 2 < 8 * p:
-        l += 1
-    while l > 1 and (2 * (l - 1) - 1) ** 2 >= 8 * p:
-        l -= 1
-    return l
+    # the least l with (2l - 1)^2 >= 8p
+    return (_ceil_sqrt(8 * p) + 2) // 2
 
 
 def min_twist_lagr_oracle(n: int, p: int) -> MinTwistWitness:
@@ -190,12 +186,9 @@ def min_twist_lagr_oracle(n: int, p: int) -> MinTwistWitness:
 
 
 def _spinor_parameters(p: int) -> tuple[int, int]:
-    # a = ceil(sqrt(2p) - 1/2); write 2p = a(a+1) - 2b with 0 <= b < a.
-    a = max(1, (isqrt(8 * p) - 1) // 2)
-    while (2 * a + 1) ** 2 < 8 * p:
-        a += 1
-    while a > 1 and (2 * (a - 1) + 1) ** 2 >= 8 * p:
-        a -= 1
+    # a = ceil(sqrt(2p) - 1/2), the least a with (2a + 1)^2 >= 8p; write
+    # 2p = a(a+1) - 2b with 0 <= b < a.
+    a = _ceil_sqrt(8 * p) // 2
     b2 = a * (a + 1) - 2 * p
     if b2 < 0 or b2 % 2:
         raise AssertionError("parametrization 2p = a(a+1) - 2b failed")
@@ -228,18 +221,16 @@ def min_twist_spinor_oracle(n: int, p: int) -> MinTwistWitness:
     return MinTwistWitness(best, mins, COST_D, box=None)
 
 
-def closed_form_cases(family: str, max_rank: int, max_p: int | None = None
+def closed_form_cases(family: str, max_rank: int
                       ) -> Iterator[tuple[int | None, int, int, int, MinTwistWitness]]:
     """Every case on which a family's closed form is checked against its
-    oracle, up to an ambient rank (and grade ``max_p``, if given).
+    oracle, up to an ambient rank.
 
     Family "A" sweeps G(k,n) with k <= n/2 and n <= max_rank + 1, "C" the
     symplectic flavor with 2 <= n <= max_rank, "D" the orthogonal flavor
     with 3 <= n <= max_rank.  Yields (k, n, p, closed-form l, oracle
     witness), with k None outside family A.
     """
-    if max_p is not None and max_p < 0:
-        raise ValueError(f"max_p={max_p} must be nonnegative")
     if family == "A":
         spaces = [(k, n, k * (n - k)) for n in range(2, max_rank + 2)
                  for k in range(1, n // 2 + 1)]
@@ -250,7 +241,7 @@ def closed_form_cases(family: str, max_rank: int, max_p: int | None = None
     else:
         raise ValueError(f"unknown family {family!r}; expected A, C or D")
     for k, n, top in spaces:
-        for p in range(1, (top if max_p is None else min(top, max_p)) + 1):
+        for p in range(1, top + 1):
             if family == "A":
                 yield k, n, p, min_twist_grass(k, n, p), min_twist_grass_oracle(k, n, p)
             elif family == "C":

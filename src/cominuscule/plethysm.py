@@ -212,6 +212,14 @@ def _group(keys: np.ndarray, counts: np.ndarray):
     return keys[idx], np.add.reduceat(counts, idx)
 
 
+# Distinct DP states summed over the grades one DP keeps.  To floor(dim/2),
+# E7 holds 361,040 and IG:8 13,230,163 (a forced IG:8 question takes 13 s
+# and 0.4 GB on one CPU).  Q:30 would hold 46,633,948, over 1 GB for the DP
+# alone, and OG:10, IG:10, G:2:18 and G:3:21 need more than a 2.5 GB
+# address space; each is refused after 1.3-2.3 s at about 0.5 GB.
+DP_STATE_LIMIT = 2 ** 24
+
+
 def _exterior_tables(spec: GrassmannianSpec, max_grade: int):
     """Weight multisets of the exterior powers of the cotangent space up to
     max_grade, by a 0/1-knapsack over the negated nilradical roots.
@@ -219,6 +227,8 @@ def _exterior_tables(spec: GrassmannianSpec, max_grade: int):
     Every partial sum lies in the box whose bounds are, per coordinate, the
     sums of the negative and of the positive entries; a state is its
     ``_radix`` key in that box, so adding a root is adding one scalar.
+    The states only grow, and past ``DP_STATE_LIMIT`` of them the DP stops
+    with a DecompositionError.
     Returns lo, hi and per grade a pair (keys, counts), keys sorted.
     """
     import numpy as np
@@ -230,11 +240,17 @@ def _exterior_tables(spec: GrassmannianSpec, max_grade: int):
 
     states = [(np.zeros(0, dtype=np.int64),) * 2] * (max_grade + 1)
     states[0] = (np.asarray([-lo @ place]), np.ones(1, dtype=np.int64))
+    total = 1
     for j, d in enumerate(deltas):
         for g in range(min(j, max_grade - 1), -1, -1):
             (keys, counts), (k2, n2) = states[g], states[g + 1]
             states[g + 1] = _group(np.concatenate([k2, keys + d]),
                                    np.concatenate([n2, counts]))
+            total += len(states[g + 1][0]) - len(k2)
+            if total > DP_STATE_LIMIT:
+                raise DecompositionError(
+                    f"{spec.name}: weight DP to grade {max_grade} passed "
+                    f"DP_STATE_LIMIT = {DP_STATE_LIMIT} states")
     for g, (_, counts) in enumerate(states):
         if int(counts.sum()) != comb(spec.dim, g):
             raise DecompositionError(f"{spec.name}: weight DP lost mass at grade {g}")

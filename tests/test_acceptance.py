@@ -261,8 +261,8 @@ def test_criterion_07_low_twist_scan():
     exceptions = scan.exceptions
     all_lagr_p3 = all(e.p == 3 and e.l == 3 and "Lagrangian" in e.note
                       for e in exceptions)
-    ig_spaces = {s.name for s in iter_catalog_specs(6, families=("lagrangian",))
-                 if s.dim >= 3}
+    ig_spaces = {s.name for s in iter_catalog_specs(6)
+                 if s.family == "lagrangian" and s.dim >= 3}
     seen = {e.space for e in exceptions}
     ig_all_present = ig_spaces <= seen
     extras = seen - ig_spaces

@@ -14,6 +14,7 @@ from cominuscule.catalog import (
     quadric,
     spinor,
 )
+from cominuscule.rootsys import root_system
 
 
 def test_cayley_derived_data():
@@ -59,6 +60,12 @@ def test_nilradical_counts():
     assert len(nilradical_roots(spinor(5))) == 10
     for spec in iter_catalog_specs(6):
         assert len(nilradical_roots(spec)) == spec.dim
+
+
+def test_a_node_that_is_not_cominuscule_is_refused_at_build_time():
+    # node 2 of E6 has coefficient 2 in the highest root
+    with pytest.raises(AssertionError, match="E6:2: node 2 is not cominuscule"):
+        catalog._build("cayley", (), "E6:2", root_system("E6"), 2)
 
 
 @pytest.mark.parametrize("max_rank", [8])

@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import json
 from math import comb
 
 import numpy as np
 import pytest
 
-from cominuscule import catalog, cli, plethysm, rootsys
+from cominuscule import catalog, cli, foliations, partitions, plethysm, rootsys
 from cominuscule.catalog import quadric
 from cominuscule.cli import main
 
@@ -78,13 +80,6 @@ def test_partitions_verify(capsys):
     assert all(r["formula_l"] == r["oracle_l"] for r in rows)
     assert all(list(r) == ["family", "k", "n", "p", "formula_l", "oracle_l",
                            "witnesses"] for r in rows)
-    # grade bounds: 0 means no grade at all, a negative one is a usage error
-    code, out, _ = run(capsys, "partitions", "verify", "--family", "A",
-                       "--max-p", "0")
-    assert code == 0 and json.loads(out) == []
-    code, out, err = run(capsys, "partitions", "verify", "--family", "A",
-                         "--max-p", "-1")
-    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_table_audit_exit_codes(capsys):
@@ -134,28 +129,11 @@ def test_foliation_bad_args_usage_error(capsys):
     assert "a=9" in err
 
 
-def test_verify_small_run(capsys, monkeypatch):
-    code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-p", "4")
+def test_verify_small_run(capsys):
+    code, out, _ = run(capsys, "verify", "--max-rank", "3")
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and len(data["components"]) == 6
-    # --max-p 0 checks grade 0 only; it used to check every grade
-    grades = set()
-    real = cli.omega_decompose
-
-    def spy(spec, p, method="auto"):
-        grades.add(p)
-        return real(spec, p, method)
-
-    monkeypatch.setattr(cli, "omega_decompose", spy)
-    code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-p", "0")
-    assert code == 0
-    data = json.loads(out)
-    assert data["config"]["max_p"] == 0 and grades == {0}
-    assert data["components"][0]["checked"] == 0
-    assert all(c["checked"] for c in data["components"][1:3])
-    code, out, err = run(capsys, "verify", "--max-rank", "3", "--max-p", "-1")
-    assert code == 2 and out == "" and err.startswith("error: ")
     # --jobs below 1 is a usage error; -3 used to run one thread and exit 0
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--max-rank", "2", "--jobs", jobs)
@@ -211,6 +189,116 @@ def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
         {"space": "Q:5", "p": p, "method": "WeightDP", "expected": comb(5, p),
          "got": comb(5, p) - dropped} for p in (2, 3)]
     assert all(c["ok"] for c in components.values())
+
+
+def _failed_components(capsys, max_rank):
+    """Run verify, check it reports a mismatch, and return the failures of
+    each component that is not ok."""
+    code, out, _ = run(capsys, "verify", "--max-rank", str(max_rank))
+    data = json.loads(out)
+    assert code == 1 and data["ok"] is False
+    return {c["name"]: c["failures"] for c in data["components"] if not c["ok"]}
+
+
+def test_verify_lists_a_path_mismatch(capsys, monkeypatch):
+    # the auto route of G:2:4 hands its two grade-2 summands over in the
+    # wrong order: the rank identity holds, the weights differ
+    real = cli.omega_decompose
+
+    def swapped(spec, p, method="auto"):
+        report = real(spec, p, method)
+        if (spec.name, p, method) == ("G:2:4", 2, "auto"):
+            return dataclasses.replace(report, summands=report.summands[::-1])
+        return report
+
+    monkeypatch.setattr(cli, "omega_decompose", swapped)
+    weights = [list(w) for w in real(catalog.grassmannian(2, 4), 2).weights()]
+    assert len(weights) == 2
+    assert _failed_components(capsys, 3) == {"fast path vs weight engine": [
+        {"space": "G:2:4", "p": 2, "fast": weights[::-1], "dp": weights}]}
+
+
+def test_verify_lists_a_partition_failure(capsys, monkeypatch):
+    real = partitions.min_twist_lagr
+    monkeypatch.setattr(partitions, "min_twist_lagr", lambda p: real(p) + (p == 2))
+    oracle = partitions.min_twist_lagr_oracle(2, 2).l
+    assert _failed_components(capsys, 3) == {"partition formula vs oracle": [
+        {"family": "C", "n": n, "p": 2, "formula_l": oracle + 1, "oracle_l": oracle}
+        for n in (2, 3)]}
+
+
+def _off_by_one(report):
+    return dataclasses.replace(report, l=report.l + 1)
+
+
+@pytest.mark.parametrize("name, args, oracle, max_rank, entry", [
+    ("symplectic_family", (3, 2), partitions.min_twist_lagr_oracle, 3,
+     {"family": "symplectic", "n": 3, "a": 2}),
+    ("orthogonal_family", (3, 1), partitions.min_twist_spinor_oracle, 3,
+     {"family": "orthogonal", "n": 3, "a": 1}),
+    ("cayley_family", (), None, 6, {"family": "cayley", "got": [8, 9, -1]}),
+])
+def test_verify_lists_a_family_failure(capsys, monkeypatch, name, args, oracle,
+                                       max_rank, entry):
+    # one family report carries a twist one too high
+    real = getattr(foliations, name)
+    monkeypatch.setattr(foliations, name, lambda *a: _off_by_one(real(*a))
+                        if a == args else real(*a))
+    if oracle is not None:
+        fam = real(*args)
+        entry = {**entry, "family_l": fam.l + 1, "oracle_l": oracle(args[0], fam.p).l}
+    failed = _failed_components(capsys, max_rank)
+    if max_rank >= 6:
+        # the transcription typo in row p = 8 of the E6 table
+        assert [f["p"] for f in failed.pop("table audit")] == [8]
+    assert failed == {"foliation family twist consistency": [entry]}
+
+
+def test_cli_options_are_pinned():
+    # every option of every command; a new one needs an edit here
+    def options(parser, path=()):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {" ".join(path): sorted(o for a in parser._actions
+                                           for o in a.option_strings
+                                           if o not in ("-h", "--help"))}
+        return {k: v for name, sub in subs[0].choices.items()
+                for k, v in options(sub, path + (name,)).items()}
+
+    io = ["--format", "--out"]
+    assert options(cli._build_parser()) == {
+        "rootsys dump": sorted(io + ["--type"]),
+        "catalog list": sorted(io + ["--max-rank"]),
+        "catalog show": sorted(io + ["--space"]),
+        "partitions verify": sorted(io + ["--family", "--max-rank"]),
+        "omega decompose": sorted(io + ["--method", "--p", "--space"]),
+        "min-twist": sorted(io + ["--p", "--space"]),
+        "table-audit": sorted(io + ["--which"]),
+        "nonvanishing": sorted(io + ["--max-rank"]),
+        "foliation rect": sorted(io + ["--k", "--n", "--p"]),
+        "foliation sympl": sorted(io + ["--a", "--n"]),
+        "foliation ortho": sorted(io + ["--a", "--n"]),
+        "foliation cayley": io,
+        "foliation scan": sorted(io + ["--max-rank"]),
+        "verify": sorted(io + ["--jobs", "--max-rank"]),
+    }
+    # the sweep bounds that were removed are usage errors
+    for argv in (["verify", "--families", "A"], ["verify", "--max-p", "3"],
+                 ["partitions", "verify", "--family", "A", "--max-p", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_engine_state_limit_is_an_internal_error(capsys, monkeypatch,
+                                                 cold_answers):
+    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 1000)
+    code, out, err = run(capsys, "omega", "decompose", "--space", "E6",
+                         "--p", "1", "--method", "WeightDP")
+    assert code == 3 and out == ""
+    assert err == ("internal error: DecompositionError: E6: weight DP to "
+                   "grade 8 passed DP_STATE_LIMIT = 1000 states\n")
 
 
 def test_verify_pool_builds_each_dp_table_once(cold_answers):

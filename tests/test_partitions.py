@@ -227,6 +227,17 @@ def test_lagr_formula_equals_oracle(n):
         assert min_twist_lagr(p) == min_twist_lagr_oracle(n, p).l
 
 
+def test_closed_forms_meet_their_defining_inequalities():
+    # l(p) is the least l with (2l - 1)^2 >= 8p, and the orthogonal
+    # parameter a the least a with (2a + 1)^2 >= 8p; exact at any size
+    for p in [*range(1, 5000), 10 ** 30, 10 ** 30 + 1, 2 * 10 ** 40 + 7]:
+        l = min_twist_lagr(p)
+        assert (2 * l - 1) ** 2 >= 8 * p > (2 * l - 3) ** 2, p
+        a, b = partitions._spinor_parameters(p)
+        assert (2 * a + 1) ** 2 >= 8 * p > (2 * a - 1) ** 2, p
+        assert 2 * p == a * (a + 1) - 2 * b and 0 <= b < a, p
+
+
 def test_min_twist_spinor_known_values():
     assert min_twist_spinor(1) == 2   # a=1 forces b=0
     assert min_twist_spinor(2) == 3   # b = a-1 > 0 corner

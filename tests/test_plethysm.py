@@ -312,6 +312,32 @@ def test_engine_refuses_a_weight_box_beyond_64_bits():
         omega_decompose(spec, 2, method="WeightDP")
 
 
+def test_engine_refuses_a_dp_past_its_state_limit(monkeypatch, cold_answers):
+    # E6 holds 5855 DP states up to grade 8: one fewer allowed and the
+    # engine refuses with one line naming the limit
+    spec = cayley()
+    _, _, states = plethysm._exterior_tables(spec, spec.dim // 2)
+    assert sum(len(keys) for keys, _ in states) == 5855
+    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 5854)
+    with pytest.raises(DecompositionError) as exc:
+        omega_decompose(spec, 1, method="WeightDP")
+    assert str(exc.value) == \
+        "E6: weight DP to grade 8 passed DP_STATE_LIMIT = 5854 states"
+    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 5855)
+    assert omega_decompose(spec, 1, method="WeightDP").summands == \
+        omega_decompose(spec, 1).summands
+    # the count is kept as the states grow: a low limit stops the DP early
+    grouped = []
+    real = plethysm._group
+    monkeypatch.setattr(plethysm, "_group", lambda *a: grouped.append(1) or real(*a))
+    plethysm._exterior_tables(spec, 8)
+    full = len(grouped)
+    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 1000)
+    with pytest.raises(DecompositionError, match="E6: .*DP_STATE_LIMIT = 1000 "):
+        plethysm._exterior_tables(spec, 8)
+    assert len(grouped) - full < full
+
+
 @pytest.mark.parametrize("spec,top", [
     (cayley(), None), (freudenthal(), 6), (grassmannian(3, 7), None),
     (lagrangian(4), None), (spinor(5), None),
