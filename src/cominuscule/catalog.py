@@ -177,8 +177,24 @@ def make_spec(family: str, *params: int) -> GrassmannianSpec:
     return _CONSTRUCTORS[family](*params)
 
 
+# The grammar's largest ambient rank.  A build costs about roots x rank steps
+# and memory: A149 (G:2:150) takes about 0.5 s, and A999 (G:2:1000) would
+# need several GB.
+MAX_AMBIENT_RANK = 150
+
+
+def _check_rank(rank: int) -> None:
+    if rank > MAX_AMBIENT_RANK:
+        raise ValueError(f"ambient rank {rank} is above the limit "
+                         f"MAX_AMBIENT_RANK = {MAX_AMBIENT_RANK}")
+
+
 def parse_space(text: str) -> GrassmannianSpec:
-    """Parse the space grammar ``G:k:n | Q:m | IG:n | OG:n | E6 | E7``."""
+    """Parse the space grammar ``G:k:n | Q:m | IG:n | OG:n | E6 | E7``.
+
+    An ambient rank above ``MAX_AMBIENT_RANK`` is refused before any root
+    system is built.
+    """
     tokens = text.strip().split(":")
     head = tokens[0].upper()
     try:
@@ -187,13 +203,17 @@ def parse_space(text: str) -> GrassmannianSpec:
         if head == "E7" and len(tokens) == 1:
             return freudenthal()
         if head == "G" and len(tokens) == 3:
-            return grassmannian(int(tokens[1]), int(tokens[2]))
+            k, n = int(tokens[1]), int(tokens[2])
+            _check_rank(n - 1)
+            return grassmannian(k, n)
         if head == "Q" and len(tokens) == 2:
-            return quadric(int(tokens[1]))
-        if head == "IG" and len(tokens) == 2:
-            return lagrangian(int(tokens[1]))
-        if head == "OG" and len(tokens) == 2:
-            return spinor(int(tokens[1]))
+            m = int(tokens[1])
+            _check_rank((m + 2) // 2)  # B_{(m+1)/2} or D_{m/2+1}
+            return quadric(m)
+        if head in ("IG", "OG") and len(tokens) == 2:
+            n = int(tokens[1])
+            _check_rank(n)
+            return lagrangian(n) if head == "IG" else spinor(n)
     except ValueError as exc:
         raise ValueError(f"bad space {text!r}: {exc}") from None
     raise ValueError(
@@ -260,23 +280,27 @@ def check_table1(spec: GrassmannianSpec) -> Table1Check:
     )
 
 
+def catalog_params(max_rank: int) -> dict[str, list[tuple[int, ...]]]:
+    """Per family, in catalog order, the constructor parameters of every
+    catalog space whose ambient rank is at most max_rank, ordinary
+    Grassmannians normalized to k <= n - k."""
+    return {
+        "grassmannian": [(k, n) for n in range(2, max_rank + 2)  # A_{n-1}
+                         for k in range(1, n // 2 + 1)],
+        "quadric_odd": [(2 * r - 1,) for r in range(2, max_rank + 1)],  # B_r
+        "quadric_even": [(2 * r - 2,) for r in range(3, max_rank + 1)],  # D_r
+        "lagrangian": [(n,) for n in range(2, max_rank + 1)],  # C_n
+        "spinor": [(n,) for n in range(3, max_rank + 1)],  # D_n
+        "cayley": [()] * (max_rank >= 6),
+        "freudenthal": [()] * (max_rank >= 7),
+    }
+
+
 def iter_catalog_specs(max_rank: int) -> Iterator[GrassmannianSpec]:
-    """All catalog specs whose ambient rank is at most max_rank, normalized
-    to k <= n - k for ordinary Grassmannians.  Deterministic order."""
+    """All catalog specs whose ambient rank is at most max_rank, in the
+    order of ``catalog_params``."""
     if max_rank < 2:
         raise ValueError("need max_rank >= 2")
-    for n in range(2, max_rank + 2):  # ambient A_{n-1}
-        for k in range(1, n // 2 + 1):
-            yield grassmannian(k, n)
-    for r in range(2, max_rank + 1):  # B_r
-        yield quadric(2 * r - 1)
-    for r in range(3, max_rank + 1):  # D_r, node 1
-        yield quadric(2 * r - 2)
-    for n in range(2, max_rank + 1):
-        yield lagrangian(n)
-    for n in range(3, max_rank + 1):
-        yield spinor(n)
-    if max_rank >= 6:
-        yield cayley()
-    if max_rank >= 7:
-        yield freudenthal()
+    for family, params in catalog_params(max_rank).items():
+        for args in params:
+            yield make_spec(family, *args)

@@ -225,7 +225,8 @@ def _verify_nonvanishing(max_rank: int) -> dict:
 def _verify_families(max_rank: int) -> dict:
     failures = []
     checked = 0
-    for n in range(2, max_rank + 1):
+    params = catalog.catalog_params(max_rank)
+    for (n,) in params["lagrangian"]:
         for a in range(1, n):
             checked += 1
             fam = foliations.symplectic_family(n, a)
@@ -233,7 +234,7 @@ def _verify_families(max_rank: int) -> dict:
             if fam.l != oracle.l:
                 failures.append({"family": "symplectic", "n": n, "a": a,
                                  "family_l": fam.l, "oracle_l": oracle.l})
-    for n in range(3, max_rank + 1):
+    for (n,) in params["spinor"]:
         for a in range(1, n - 1):
             checked += 1
             fam = foliations.orthogonal_family(n, a)
@@ -241,7 +242,7 @@ def _verify_families(max_rank: int) -> dict:
             if fam.l != oracle.l:
                 failures.append({"family": "orthogonal", "n": n, "a": a,
                                  "family_l": fam.l, "oracle_l": oracle.l})
-    if max_rank >= 6:
+    if params["cayley"]:
         checked += 1
         fam = foliations.cayley_family()
         if (fam.p, fam.l, fam.degree) != (8, 8, -1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import GrassmannianSpec, cayley
+from .catalog import GrassmannianSpec, catalog_params, cayley
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
 from .twists import min_twist
 
@@ -192,15 +192,15 @@ def foliation_atlas(max_rank: int) -> list[FoliationFamilyReport]:
     if max_rank < 2:
         raise ValueError("need max_rank >= 2")
     rows: list[FoliationFamilyReport] = []
-    for n in range(2, max_rank + 2):  # G(k, n) with k <= n - k, ambient A_{n-1}
-        for k in range(1, n // 2 + 1):
-            for p in range(1, k * (n - k) + 1):
-                rows.extend(r for r in rect_family(k, n, p) if r.minimal)
-    for n in range(2, max_rank + 1):  # IG:n, ambient C_n
+    params = catalog_params(max_rank)
+    for k, n in params["grassmannian"]:
+        for p in range(1, k * (n - k) + 1):
+            rows.extend(r for r in rect_family(k, n, p) if r.minimal)
+    for (n,) in params["lagrangian"]:
         rows.extend(symplectic_family(n, a) for a in range(1, n))
-    for n in range(3, max_rank + 1):  # OG:n, ambient D_n
+    for (n,) in params["spinor"]:
         rows.extend(orthogonal_family(n, a) for a in range(1, n - 1))
-    if max_rank >= 6:
+    if params["cayley"]:
         rows.append(cayley_family())
     rows.sort(key=lambda r: (r.space, r.p, -r.params.get("d", 0)))
     return rows

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
+from .catalog import catalog_params
+
 Partition = tuple[int, ...]
 
 # Dominance costs used by the oracles; kept as named constants so
@@ -226,18 +228,17 @@ def closed_form_cases(family: str, max_rank: int
     """Every case on which a family's closed form is checked against its
     oracle, up to an ambient rank.
 
-    Family "A" sweeps G(k,n) with k <= n/2 and n <= max_rank + 1, "C" the
-    symplectic flavor with 2 <= n <= max_rank, "D" the orthogonal flavor
-    with 3 <= n <= max_rank.  Yields (k, n, p, closed-form l, oracle
-    witness), with k None outside family A.
+    Family "A" sweeps the catalog's G(k,n), "C" its IG:n and "D" its OG:n
+    (``catalog_params``).  Yields (k, n, p, closed-form l, oracle witness),
+    with k None outside family A.
     """
+    params = catalog_params(max_rank)
     if family == "A":
-        spaces = [(k, n, k * (n - k)) for n in range(2, max_rank + 2)
-                 for k in range(1, n // 2 + 1)]
+        spaces = [(k, n, k * (n - k)) for k, n in params["grassmannian"]]
     elif family == "C":
-        spaces = [(None, n, n * (n + 1) // 2) for n in range(2, max_rank + 1)]
+        spaces = [(None, n, n * (n + 1) // 2) for (n,) in params["lagrangian"]]
     elif family == "D":
-        spaces = [(None, n, n * (n - 1) // 2) for n in range(3, max_rank + 1)]
+        spaces = [(None, n, n * (n - 1) // 2) for (n,) in params["spinor"]]
     else:
         raise ValueError(f"unknown family {family!r}; expected A, C or D")
     for k, n, top in spaces:

@@ -135,6 +135,15 @@ def _chain_product(chain, v) -> int:
     return prod(vals)
 
 
+def _weyl_dim(chain, den: int, v: list[int]) -> int:
+    """prod 2<w + rho, beta> / den over the roots of a parent table, from the
+    chain values v of w; den is prod 2<rho, beta>."""
+    q, r = divmod(_chain_product(chain, v), den)
+    if r:
+        raise AssertionError("Weyl dimension did not come out integral")
+    return q
+
+
 def _gram(rank: int, chain) -> list[list[int]]:
     """The Gram matrix sum_beta c(beta) c(beta)^T of a parent table.
 
@@ -263,8 +272,9 @@ class RootSystem:
         diagonal of simple-root half-norms, in integers over 4 h^vee;
         symmetric and bilinear.
         """
-        if len(a) != self.rank or len(b) != self.rank:
-            raise ValueError(f"weights must have length {self.rank}")
+        for w in (a, b):
+            if len(w) != self.rank:
+                raise self.length_error(w)
         return Fraction(self._pair_scaled(a, b), 4 * self.dual_coxeter)
 
     def _pair_scaled(self, a: Weight, b: Weight) -> int:
@@ -338,26 +348,29 @@ class RootSystem:
 
     # -- dimensions and characters ----------------------------------------------
 
+    def length_error(self, w: Weight) -> ValueError:
+        """The one error for a weight whose length is not the rank."""
+        return ValueError(f"weight {tuple(w)} has length {len(w)}; "
+                          f"{self.lie_type} weights have length {self.rank}")
+
+    def _chain_values(self, w: Weight) -> list[int]:
+        """v_i = |alpha_i|^2 (w_i + 1), so 2<w + rho, beta> = sum_i c_i(beta) v_i
+        (rho has every coordinate 1).  v_i > 0 exactly when w_i >= 0, so the
+        values decide dominance too."""
+        if len(w) != self.rank:
+            raise self.length_error(w)
+        return [n * (x + 1) for n, x in zip(self.simple_root_norms, w)]
+
     def weyl_dim(self, w: Weight) -> int:
         """Dimension of the irreducible module with highest weight w.
 
         Weyl dimension formula: prod over positive roots of
         <w + rho, alpha> / <rho, alpha>, an exact integer.
         """
-        if not is_dominant(w):
+        v = self._chain_values(w)
+        if min(v) <= 0:
             raise ValueError(f"weight {w} is not dominant")
-        return self._weyl_dim(self._chain, self._weyl_den, w)
-
-    def _weyl_dim(self, chain, den: int, w: Weight) -> int:
-        """prod 2<w + rho, beta> / den over the roots of a parent table, den
-        being prod 2<rho, beta>; rho has every coordinate 1, and
-        2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1)."""
-        num = _chain_product(chain, [n * (x + 1) for n, x in
-                                     zip(self.simple_root_norms, w)])
-        q, r = divmod(num, den)
-        if r:
-            raise AssertionError("Weyl dimension did not come out integral")
-        return q
+        return _weyl_dim(self._chain, self._weyl_den, v)
 
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the dominant weights of V_w."""
@@ -499,9 +512,11 @@ class LeviSubsystem:
 
     def weyl_dim(self, w: Weight) -> int:
         """Dimension of the irreducible Levi module with highest weight w."""
-        if not self.is_dominant(w):
+        v = self.ambient._chain_values(w)
+        v[self._k] = 1  # no Levi root reads the marked value
+        if min(v) <= 0:
             raise ValueError(f"weight {w} is not Levi-dominant")
-        return self.ambient._weyl_dim(self._chain, self._weyl_den, w)
+        return _weyl_dim(self._chain, self._weyl_den, v)
 
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the Levi-dominant weights of the

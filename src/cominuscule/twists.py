@@ -23,7 +23,7 @@ from . import tables
 from .catalog import GrassmannianSpec, cayley, freudenthal, iter_catalog_specs
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
 from .plethysm import IrreducibleSummand, omega_decompose
-from .rootsys import Weight, is_dominant
+from .rootsys import Weight
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,24 @@ class MinTwistReport:
 
 def h0_dim(spec: GrassmannianSpec, summand, l: int) -> int:
     """dim H^0 of one twisted summand: 0 unless the twisted weight is
-    dominant, else the ambient Weyl dimension."""
+    dominant, else the ambient Weyl dimension.
+
+    A twist moves only the marked coordinate, so a negative marked
+    coordinate answers 0 at once; otherwise ``weyl_dim`` decides dominance.
+    """
     weight: Weight = summand.highest_weight if isinstance(
         summand, IrreducibleSummand) else tuple(summand)
+    ambient = spec.ambient
+    if len(weight) != ambient.rank:
+        raise ambient.length_error(weight)
     k = spec.marked_node - 1
-    twisted = tuple(x + l if i == k else x for i, x in enumerate(weight))
-    if not is_dominant(twisted):
+    marked = weight[k] + l
+    if marked < 0:
         return 0
-    return spec.ambient.weyl_dim(twisted)
+    try:
+        return ambient.weyl_dim(weight[:k] + (marked,) + weight[k + 1:])
+    except ValueError:  # a coordinate other than the marked one is negative
+        return 0
 
 
 def closed_form_l(spec: GrassmannianSpec, p: int) -> int | None:

@@ -3,6 +3,7 @@ import pytest
 from cominuscule import catalog
 from cominuscule.catalog import (
     cayley,
+    catalog_params,
     check_table1,
     freudenthal,
     grassmannian,
@@ -141,6 +142,51 @@ def test_parse_space_diagnostics(bad):
         with pytest.raises(ValueError) as err:
             parse_space(bad)
         assert bad.split(":")[0] in str(err.value) or bad in str(err.value)
+
+
+def test_parse_space_refuses_an_ambient_rank_above_the_limit():
+    # refused from the parameters alone: no root system or spec is built
+    assert catalog.MAX_AMBIENT_RANK == 150
+    roots, specs = root_system.cache_info(), catalog._build.cache_info()
+    for text, rank in (("G:2:1000", 999), ("G:2:152", 151), ("Q:300", 151),
+                       ("Q:301", 151), ("IG:151", 151), ("OG:151", 151),
+                       ("G:1:" + "9" * 30, 10 ** 30 - 2)):
+        with pytest.raises(ValueError) as err:
+            parse_space(text)
+        assert str(err.value) == (f"bad space {text!r}: ambient rank {rank} is "
+                                  "above the limit MAX_AMBIENT_RANK = 150")
+    assert root_system.cache_info() == roots
+    assert catalog._build.cache_info() == specs
+
+
+def test_the_grammar_limit_is_the_ambient_rank_of_each_form(monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_AMBIENT_RANK", 5)
+    for at, above in (("G:2:6", "G:2:7"), ("Q:9", "Q:11"), ("Q:8", "Q:10"),
+                      ("IG:5", "IG:6"), ("OG:5", "OG:6")):
+        assert parse_space(at).ambient.rank == 5
+        with pytest.raises(ValueError, match="ambient rank 6 is above"):
+            parse_space(above)
+
+
+def test_the_named_large_spaces_are_within_the_limit(monkeypatch):
+    # Q:120, Q:200 and G:2:150 reach their constructors (stubbed here, so
+    # nothing is built)
+    asked = []
+    for name in ("grassmannian", "quadric"):
+        monkeypatch.setattr(catalog, name, lambda *a, name=name: asked.append((name, a)))
+    for text in ("Q:120", "Q:200", "G:2:150"):
+        parse_space(text)
+    assert asked == [("quadric", (120,)), ("quadric", (200,)),
+                     ("grassmannian", (2, 150))]
+
+
+def test_catalog_params_list_the_catalog_in_order():
+    params = catalog_params(8)
+    assert tuple(params) == catalog.FAMILIES
+    assert [(s.family, s.params) for s in iter_catalog_specs(8)] == [
+        (family, args) for family, rows in params.items() for args in rows]
+    assert sum(map(len, params.values())) == 48
+    assert catalog_params(5)["cayley"] == catalog_params(6)["freudenthal"] == []
 
 
 def test_iter_catalog_is_deterministic_and_rank_bounded():

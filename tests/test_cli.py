@@ -41,6 +41,16 @@ def test_catalog_show_bad_space_is_usage_error(capsys):
     assert "G:0:5" in err or "k" in err
 
 
+def test_a_space_above_the_grammar_limit_is_a_usage_error(capsys):
+    roots = rootsys.root_system.cache_info()
+    code, out, err = run(capsys, "omega", "decompose", "--space", "G:2:1000",
+                         "--p", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: bad space 'G:2:1000': ambient rank 999 is above "
+                   "the limit MAX_AMBIENT_RANK = 150\n")
+    assert rootsys.root_system.cache_info() == roots
+
+
 def test_omega_decompose_schema(capsys):
     code, out, _ = run(capsys, "omega", "decompose", "--space", "E6", "--p", "8")
     assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cominuscule import rootsys
 from cominuscule.catalog import iter_catalog_specs
 from cominuscule.rootsys import (
-    LieType, RootSystem, is_dominant, negate, root_system)
+    LeviSubsystem, LieType, RootSystem, is_dominant, negate, root_system)
 from cominuscule.twists import h0_dim
 
 TYPES = ["A1", "A2", "A4", "B2", "B3", "C2", "C3", "C4", "D4", "D5", "E6", "E7"]
@@ -176,6 +176,30 @@ def test_weyl_dim_minuscule_orbit_cross_check():
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
         root_system("A2").weyl_dim((1, -1))
+
+
+def test_weyl_dim_refuses_a_weight_of_the_wrong_length():
+    # a weight of another length is refused, neither truncated to the rank
+    # (this 8-tuple would read as the 56) nor indexed past its end
+    e7 = root_system("E7")
+    levi = LeviSubsystem(e7, 7)
+    for w in ((0,) * 6 + (1, 5), (0,) * 5 + (1,)):
+        for group in (e7, levi):
+            with pytest.raises(ValueError, match="E7 weights have length 7$"):
+                group.weyl_dim(w)
+    with pytest.raises(ValueError, match="E7 weights have length 7$"):
+        e7.pairing((0,) * 8, (0,) * 7)
+    assert e7.weyl_dim((0,) * 6 + (1,)) == 56
+
+
+def test_levi_weyl_dim_reads_every_coordinate_but_the_marked_one():
+    levi = LeviSubsystem(root_system("E6"), 1)
+    for marked in (-100, -1, 0, 3):
+        assert levi.weyl_dim((marked, 0, 1, 0, 0, 0)) == 16
+    for i in range(1, 6):
+        w = tuple(-1 if j == i else 0 for j in range(6))
+        with pytest.raises(ValueError, match="not Levi-dominant"):
+            levi.weyl_dim(w)
 
 
 def _weyl_dim_by_pairing(rs, roots, w):

@@ -81,13 +81,28 @@ def test_no_module_level_numpy_import():
 NUMPY_FREE_RUN = """
 import contextlib, io, sys
 import cominuscule, cominuscule.cli
-from cominuscule import (cayley, iter_catalog_specs, min_twist,
-                         nonvanishing_scan, omega_decompose, table_audit)
+from cominuscule import (cayley, h0_dim, iter_catalog_specs, min_twist,
+                         nonvanishing_scan, omega_decompose, parse_space,
+                         table_audit)
 for spec in iter_catalog_specs(8):
+    j = spec.marked_node % spec.ambient.rank  # the node after the marked one
     for p in range(spec.dim + 1):
-        omega_decompose(spec, p)
-        if p:
-            min_twist(spec, p)
+        summands = omega_decompose(spec, p).summands
+        if not p:
+            continue
+        l = min_twist(spec, p).l
+        for s in summands:
+            w = s.highest_weight
+            for t in range(l - 2, l + 4):
+                h0_dim(spec, s, t)
+                h0_dim(spec, w, t)
+                h0_dim(spec, w[:j] + (-1,) + w[j + 1:], t)
+try:
+    parse_space("G:2:1000")
+except ValueError:
+    pass
+else:
+    raise SystemExit("G:2:1000 was not refused")
 table_audit("E6")
 table_audit("E7")
 nonvanishing_scan(7)

@@ -1,5 +1,6 @@
 import pytest
 
+from cominuscule import rootsys
 from cominuscule.catalog import (
     cayley,
     freudenthal,
@@ -11,6 +12,7 @@ from cominuscule.catalog import (
 )
 from cominuscule.partitions import min_twist_lagr
 from cominuscule.plethysm import IrreducibleSummand, omega_decompose
+from cominuscule.rootsys import is_dominant
 from cominuscule.twists import (
     closed_form_l,
     h0_dim,
@@ -27,6 +29,68 @@ def test_h0_dim_dominance_gate():
     assert h0_dim(spec, cot, 2) == spec.ambient.weyl_dim((0, 0, 1, 0, 0, 0))
     # raw weights are accepted too
     assert h0_dim(spec, (-2, 0, 1, 0, 0, 0), 2) == h0_dim(spec, cot, 2)
+
+
+def _summands_near_l():
+    """(spec, summands of Omega^p, l(p)) for every catalog space up to rank 8
+    and every p >= 1."""
+    return [(spec, omega_decompose(spec, p).summands, min_twist(spec, p).l)
+            for spec in iter_catalog_specs(8) for p in range(1, spec.dim + 1)]
+
+
+def _expected_h0(spec, weight, t):
+    k = spec.marked_node - 1
+    twisted = tuple(x + t if i == k else x for i, x in enumerate(weight))
+    return spec.ambient.weyl_dim(twisted) if is_dominant(twisted) else 0
+
+
+def test_h0_dim_is_the_weyl_dimension_of_a_dominant_twist():
+    # at l(p) - 2 ... l(p) + 3, for summand objects and raw tuples, and for
+    # raw tuples made negative on a node other than the marked one
+    counts = {"zero": 0, "nonzero": 0, "not Levi-dominant": 0}
+    for spec, summands, l in _summands_near_l():
+        k = spec.marked_node - 1
+        j = (k + 1) % spec.ambient.rank
+        for s in summands:
+            w = s.highest_weight
+            bent = w[:j] + (-1,) + w[j + 1:]
+            for t in range(l - 2, l + 4):
+                want = _expected_h0(spec, w, t)
+                assert h0_dim(spec, s, t) == h0_dim(spec, w, t) == want
+                counts["nonzero" if want else "zero"] += 1
+                if j != k:
+                    assert h0_dim(spec, bent, t) == 0
+                    counts["not Levi-dominant"] += 1
+    assert min(counts.values()) > 2000, counts
+
+
+def test_h0_below_the_minimal_twist_computes_no_weyl_dimension(monkeypatch):
+    # below l(p) every summand has a negative marked coordinate, and a twist
+    # moves only that coordinate: h0_dim answers 0 before any Weyl dimension
+    cases = _summands_near_l()
+    calls = []
+    chain_product = rootsys._chain_product
+    weyl_dim = rootsys.RootSystem.weyl_dim
+    monkeypatch.setattr(rootsys, "_chain_product",
+                        lambda *a: calls.append("chain") or chain_product(*a))
+    monkeypatch.setattr(rootsys.RootSystem, "weyl_dim",
+                        lambda self, w: calls.append("weyl_dim") or weyl_dim(self, w))
+    for spec, summands, l in cases:
+        assert sum(h0_dim(spec, s, l - 1) for s in summands) == 0
+    assert calls == []
+    # the spies see the path that does compute one
+    spec, summands, l = cases[0]
+    assert h0_dim(spec, summands[0], l) > 0
+    assert calls == ["weyl_dim", "chain"]
+
+
+def test_h0_dim_refuses_a_weight_of_the_wrong_length():
+    # refused before the marked coordinate is read, at any twist
+    spec = freudenthal()
+    for w in ((0,) * 6 + (1, 5), (0,) * 6, (0, 0, 0)):
+        for l in (-100, 0, 100):
+            with pytest.raises(ValueError, match="E7 weights have length 7$"):
+                h0_dim(spec, w, l)
 
 
 def test_h0_dim_lagrangian_rectangle():
