@@ -284,6 +284,8 @@ def catalog_params(max_rank: int) -> dict[str, list[tuple[int, ...]]]:
     """Per family, in catalog order, the constructor parameters of every
     catalog space whose ambient rank is at most max_rank, ordinary
     Grassmannians normalized to k <= n - k."""
+    if max_rank < 2:
+        raise ValueError("need max_rank >= 2")
     return {
         "grassmannian": [(k, n) for n in range(2, max_rank + 2)  # A_{n-1}
                          for k in range(1, n // 2 + 1)],
@@ -299,8 +301,6 @@ def catalog_params(max_rank: int) -> dict[str, list[tuple[int, ...]]]:
 def iter_catalog_specs(max_rank: int) -> Iterator[GrassmannianSpec]:
     """All catalog specs whose ambient rank is at most max_rank, in the
     order of ``catalog_params``."""
-    if max_rank < 2:
-        raise ValueError("need max_rank >= 2")
     for family, params in catalog_params(max_rank).items():
         for args in params:
             yield make_spec(family, *args)

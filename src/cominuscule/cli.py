@@ -33,13 +33,11 @@ EXIT_INTERNAL = 3
 # -- serialization -----------------------------------------------------------------
 
 
-def _emit(payload, fmt: str, out: str | None, csv_rows=None, csv_fields=None) -> None:
+def _emit(payload, fmt: str, out: str | None, csv_rows, csv_fields) -> None:
     """Write JSON (default) or CSV to --out (default stdout), UTF-8."""
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        if csv_rows is None:
-            raise ValueError("this report has no CSV form")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
         writer.writeheader()
@@ -147,61 +145,53 @@ def _verify_partitions(max_rank: int) -> dict:
     return _component("partition formula vs oracle", checked, failures)
 
 
-def _verify_paths(max_rank: int, jobs: int) -> dict:
-    """The auto route of every catalog space against the forced weight
-    engine, one pool task per space running its grades in order, so no two
-    threads build the same DP tables."""
-    specs = [s for s in catalog.iter_catalog_specs(max_rank) if s.dim <= 27]
+def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
+    """The rank identity of the auto route on every catalog space with
+    dim <= 36, and for dim <= 27 the auto route against the forced weight
+    engine: one pool task per space asks each grade once per route, in
+    order, so no two threads build the same DP tables."""
+    specs = [s for s in catalog.iter_catalog_specs(max_rank) if s.dim <= 36]
 
     def check(spec):
-        failures = []
+        paths, ranks = [], []
         for p in range(0, spec.dim + 1):
+            try:
+                fast = omega_decompose(spec, p)
+            except RankIdentityError as exc:
+                fast = None
+                ranks.append({"space": spec.name, "p": p,
+                              "expected": exc.expected, "got": exc.got})
+            if spec.dim > 27:
+                continue
             try:
                 dp = omega_decompose(spec, p, method="WeightDP")
             except RankIdentityError as exc:
-                failures.append({"space": spec.name, "p": p, "method": "WeightDP",
-                                 "expected": exc.expected, "got": exc.got})
+                paths.append({"space": spec.name, "p": p, "method": "WeightDP",
+                              "expected": exc.expected, "got": exc.got})
                 continue
-            try:
-                fast = omega_decompose(spec, p)
-            except RankIdentityError:
-                # listed by the rank identity component, which checks the
-                # auto route on every pair checked here
-                continue
-            if fast.weights() != dp.weights():
-                failures.append({"space": spec.name, "p": p,
-                                 "fast": [list(w) for w in fast.weights()],
-                                 "dp": [list(w) for w in dp.weights()]})
-        return failures
+            if fast is not None and fast.weights() != dp.weights():
+                paths.append({"space": spec.name, "p": p,
+                              "fast": [list(w) for w in fast.weights()],
+                              "dp": [list(w) for w in dp.weights()]})
+        return paths, ranks
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(check, specs))
-    checked = sum(spec.dim + 1 for spec in specs)
-    return _component("fast path vs weight engine", checked,
-                      [f for r in results for f in r])
-
-
-def _verify_rank_identity(max_rank: int) -> dict:
-    failures = []
-    checked = 0
-    for spec in catalog.iter_catalog_specs(max_rank):
-        if spec.dim > 36:
-            continue
-        for p in range(0, spec.dim + 1):
-            checked += 1
-            try:
-                omega_decompose(spec, p)
-            except RankIdentityError as exc:
-                failures.append({"space": spec.name, "p": p,
-                                 "expected": exc.expected, "got": exc.got})
-    return _component("rank identity", checked, failures)
+    return [
+        _component("fast path vs weight engine",
+                   sum(s.dim + 1 for s in specs if s.dim <= 27),
+                   [f for paths, _ in results for f in paths]),
+        _component("rank identity", sum(s.dim + 1 for s in specs),
+                   [f for _, ranks in results for f in ranks]),
+    ]
 
 
 def _verify_tables(max_rank: int) -> dict:
     failures = []
     checked = 0
-    for which in ("E6", "E7"):
-        if (which == "E6" and max_rank < 6) or (which == "E7" and max_rank < 7):
+    params = catalog.catalog_params(max_rank)
+    for which, family in (("E6", "cayley"), ("E7", "freudenthal")):
+        if not params[family]:
             continue
         audit = twists.table_audit(which)
         checked += len(audit.rows)
@@ -223,30 +213,25 @@ def _verify_nonvanishing(max_rank: int) -> dict:
 
 
 def _verify_families(max_rank: int) -> dict:
+    """The twist of each projection family in the foliation atlas against
+    its partition oracle, and the Cayley family's (p, l, degree)."""
+    oracles = {"symplectic_projection": ("symplectic", partitions.min_twist_lagr_oracle),
+               "orthogonal_projection": ("orthogonal", partitions.min_twist_spinor_oracle)}
     failures = []
     checked = 0
-    params = catalog.catalog_params(max_rank)
-    for (n,) in params["lagrangian"]:
-        for a in range(1, n):
+    for fam in foliations.foliation_atlas(max_rank):
+        if fam.kind == "cayley_lines":
             checked += 1
-            fam = foliations.symplectic_family(n, a)
-            oracle = partitions.min_twist_lagr_oracle(n, fam.p)
-            if fam.l != oracle.l:
-                failures.append({"family": "symplectic", "n": n, "a": a,
-                                 "family_l": fam.l, "oracle_l": oracle.l})
-    for (n,) in params["spinor"]:
-        for a in range(1, n - 1):
+            if (fam.p, fam.l, fam.degree) != (8, 8, -1):
+                failures.append({"family": "cayley", "got": [fam.p, fam.l, fam.degree]})
+        elif fam.kind in oracles:
             checked += 1
-            fam = foliations.orthogonal_family(n, a)
-            oracle = partitions.min_twist_spinor_oracle(n, fam.p)
-            if fam.l != oracle.l:
-                failures.append({"family": "orthogonal", "n": n, "a": a,
-                                 "family_l": fam.l, "oracle_l": oracle.l})
-    if params["cayley"]:
-        checked += 1
-        fam = foliations.cayley_family()
-        if (fam.p, fam.l, fam.degree) != (8, 8, -1):
-            failures.append({"family": "cayley", "got": [fam.p, fam.l, fam.degree]})
+            name, oracle = oracles[fam.kind]
+            n, a = fam.params["n"], fam.params["a"]
+            oracle_l = oracle(n, fam.p).l
+            if fam.l != oracle_l:
+                failures.append({"family": name, "n": n, "a": a,
+                                 "family_l": fam.l, "oracle_l": oracle_l})
     return _component("foliation family twist consistency", checked, failures)
 
 
@@ -260,8 +245,7 @@ def run_verify(max_rank: int = 6, jobs: int | None = None) -> tuple[int, dict]:
         raise ValueError("--jobs must be at least 1")
     components = [
         _verify_partitions(max_rank),
-        _verify_paths(max_rank, jobs),
-        _verify_rank_identity(max_rank),
+        *_verify_spaces(max_rank, jobs),
         _verify_tables(max_rank),
         _verify_nonvanishing(max_rank),
         _verify_families(max_rank),

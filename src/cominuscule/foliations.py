@@ -189,8 +189,6 @@ def foliation_atlas(max_rank: int) -> list[FoliationFamilyReport]:
     """All minimal-degree families the catalog affords up to an ambient rank:
     minimal rectangles, all symplectic/orthogonal parameters, and the Cayley
     family.  Sorted by (space, p) for deterministic output."""
-    if max_rank < 2:
-        raise ValueError("need max_rank >= 2")
     rows: list[FoliationFamilyReport] = []
     params = catalog_params(max_rank)
     for k, n in params["grassmannian"]:

@@ -225,3 +225,8 @@ def test_spec_cache_stays_within_its_cap():
             built += 1
     assert cache.cache_info().currsize == catalog.SPEC_CACHE_SIZE
     cache.cache_clear()
+
+
+def test_parse_space_refuses_a_constructor_out_of_range():
+    with pytest.raises(ValueError, match="^bad space 'OG:2': OG:2: need n >= 3$"):
+        parse_space("OG:2")

@@ -92,6 +92,15 @@ def test_partitions_verify(capsys):
                            "witnesses"] for r in rows)
 
 
+@pytest.mark.parametrize("family", ["A", "C", "D"])
+@pytest.mark.parametrize("max_rank", ["1", "-5"])
+def test_partitions_verify_refuses_a_rank_below_two(capsys, family, max_rank):
+    # -5 used to print [] and exit 0, and 1 checked only G:1:2
+    code, out, err = run(capsys, "partitions", "verify", "--family", family,
+                         "--max-rank", max_rank)
+    assert (code, out, err) == (2, "", "error: need max_rank >= 2\n")
+
+
 def test_table_audit_exit_codes(capsys):
     code, out, _ = run(capsys, "table-audit", "--which", "E7")
     assert code == 0
@@ -199,6 +208,33 @@ def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
         {"space": "Q:5", "p": p, "method": "WeightDP", "expected": comb(5, p),
          "got": comb(5, p) - dropped} for p in (2, 3)]
     assert all(c["ok"] for c in components.values())
+
+
+def test_run_verify_refuses_a_rank_below_two():
+    with pytest.raises(ValueError, match="^--max-rank must be at least 2$"):
+        cli.run_verify(1)
+
+
+def test_verify_reaches_both_dimension_caps(monkeypatch):
+    # rank 9 is the first with a catalog space above each cap: the forced
+    # engine runs up to dim 27, the rank identity up to dim 36, and IG:9
+    # (dim 45) is the one space neither checks
+    asked = set()
+    real = cli.omega_decompose
+
+    def spy(spec, p, method="auto"):
+        asked.add((spec.name, spec.dim, method))
+        return real(spec, p, method)
+
+    monkeypatch.setattr(cli, "omega_decompose", spy)
+    code, report = cli.run_verify(9)
+    components = {c["name"]: c for c in report["components"]}
+    assert code == 1 and [f["p"] for f in components["table audit"]["failures"]] == [8]
+    assert components["fast path vs weight engine"]["checked"] == 630
+    assert components["rank identity"]["checked"] == 762
+    assert max(dim for _, dim, method in asked if method == "WeightDP") == 27
+    assert max(dim for _, dim, _ in asked) == 36
+    assert "IG:9" not in {name for name, _, _ in asked}
 
 
 def _failed_components(capsys, max_rank):

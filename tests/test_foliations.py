@@ -128,3 +128,8 @@ def test_atlas_sorted_and_minimal():
     assert any(r.space == "IG:5" for r in atlas)
     spaces = {r.space for r in atlas}
     assert "OG:6" in spaces
+
+
+def test_atlas_refuses_a_rank_below_two():
+    with pytest.raises(ValueError, match="^need max_rank >= 2$"):
+        foliation_atlas(1)

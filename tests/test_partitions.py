@@ -8,6 +8,7 @@ from cominuscule.partitions import (
     COST_A,
     COST_C,
     COST_D,
+    closed_form_cases,
     dual,
     frobenius,
     from_frobenius,
@@ -259,3 +260,16 @@ def test_spinor_oracle():
 def test_spinor_formula_equals_oracle(n):
     for p in range(1, n * (n - 1) // 2 + 1):
         assert min_twist_spinor(p) == min_twist_spinor_oracle(n, p).l
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: from_frobenius((1,), ()), "arm and leg sequences must have equal length"),
+    (lambda: hooks_q1(0, 3), "need p >= 1 and n >= 1"),
+    (lambda: hooks_qm1(0, 3), "need p >= 1 and n >= 1"),
+    (lambda: min_twist_grass_oracle(2, 5, 7), r"p=7 out of range 1\.\.6 for \(2,5\)"),
+    (lambda: min_twist_spinor_oracle(4, 7), r"p=7 out of range 1\.\.6 for n=4"),
+    (lambda: list(closed_form_cases("B", 3)), "unknown family 'B'; expected A, C or D"),
+])
+def test_bad_input_is_one_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

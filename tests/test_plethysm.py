@@ -567,3 +567,12 @@ def test_quadric_closed_form_from_kostant(cold_answers):
             assert sorted(report.weights()) == sorted(_quadric_weights(spec, p)), \
                 (m, p)
             assert len(report.summands) == (2 if 2 * p == m else 1), (m, p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cauchy_decompose(2, 4, 5), r"p=5 out of range 0\.\.4"),
+    (lambda: hooks_decompose(lagrangian(2), 4), r"p=4 out of range 0\.\.3 for IG:2"),
+])
+def test_a_fast_path_refuses_a_grade_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

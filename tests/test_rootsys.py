@@ -385,3 +385,20 @@ def test_dump_is_json_ready():
     json.dumps(dump)
     assert dump["positive_root_count"] == 36
     assert dump["node_numbering"] == "Bourbaki"
+
+
+def test_levi_refuses_a_node_out_of_range():
+    with pytest.raises(ValueError, match="^node 0 out of range for A3$"):
+        LeviSubsystem(root_system("A", 3), 0)
+
+
+def test_freudenthal_refuses_a_weight_that_is_not_dominant():
+    a3 = root_system("A", 3)
+    with pytest.raises(ValueError, match=r"^weight \(1, -1, 0\) is not dominant$"):
+        a3.dominant_weight_multiplicities((1, -1, 0))
+    # the marked coordinate may be negative, any other may not
+    levi = LeviSubsystem(a3, 2)
+    assert levi.dominant_weight_multiplicities((0, -3, 0))
+    with pytest.raises(ValueError,
+                       match=r"^weight \(0, 2, -1\) is not Levi-dominant$"):
+        levi.dominant_weight_multiplicities((0, 2, -1))

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import cominuscule
 
 SRC = Path(cominuscule.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def test_no_assert_statements_in_library():
@@ -126,3 +129,20 @@ def test_numpy_is_imported_only_by_the_forced_engine():
     run = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0 and run.stdout.split() == ["ok"], run.stderr
+
+
+def test_the_benchmark_tracer_finds_what_it_wraps():
+    # bench/tracing.py wraps library functions and methods by name and swaps
+    # the verify pool; a rename here would break a traced benchmark run
+    loader = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    for mod, fn, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"cominuscule.{mod}"), fn,
+                                None)), (mod, fn)
+    for mod, cls, meth, _ in tracing.METHODS:
+        klass = getattr(importlib.import_module(f"cominuscule.{mod}"), cls)
+        assert meth in vars(klass), (cls, meth)
+    cli = importlib.import_module("cominuscule.cli")
+    assert isinstance(cli.ThreadPoolExecutor, type)
+    assert "jobs" in inspect.signature(cli.run_verify).parameters
