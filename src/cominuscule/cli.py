@@ -2,7 +2,8 @@
 
 Exit codes are a contract for CI use: 0 means every requested check passed,
 1 means a mathematical mismatch was found (for example a table-audit diff or
-a scan violation), 2 means a usage error, 3 means an internal failure (a
+a scan violation), 2 means a usage error (including an --out path that
+cannot be written), 3 means an internal failure (a
 consistency check inside the library raised, or an internal limit was hit),
 reported as one ``internal error: <Type>: <message>`` line on stderr.  All
 configuration is by flags;
@@ -21,7 +22,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog, foliations, partitions, twists
-from .plethysm import DecompositionReport, RankIdentityError, omega_decompose
+from .plethysm import RankIdentityError, omega_decompose
 from .rootsys import root_system
 
 EXIT_OK = 0
@@ -34,7 +35,8 @@ EXIT_INTERNAL = 3
 
 
 def _emit(payload, fmt: str, out: str | None, csv_rows, csv_fields) -> None:
-    """Write JSON (default) or CSV to --out (default stdout), UTF-8."""
+    """Write JSON (default) or CSV to --out (default stdout), UTF-8.  A --out
+    path that cannot be written is a usage error."""
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -46,9 +48,12 @@ def _emit(payload, fmt: str, out: str | None, csv_rows, csv_fields) -> None:
         text = buf.getvalue()
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _csv_cell(value):
@@ -61,61 +66,16 @@ def _spec_dict(spec: catalog.GrassmannianSpec) -> dict:
     return {
         "space": spec.name,
         "family": spec.family,
-        "params": list(spec.params),
+        "params": spec.params,
         "ambient": str(spec.ambient.lie_type),
         "marked_node": spec.marked_node,
         "dim": spec.dim,
         "c1": spec.index_c1,
-        "cotangent_weight": list(spec.cotangent_weight),
+        "cotangent_weight": spec.cotangent_weight,
     }
 
 
-def _decomposition_dict(report: DecompositionReport) -> dict:
-    expected, got = report.rank_identity()
-    return {
-        "space": report.spec.name,
-        "p": report.p,
-        "method": report.method,
-        "summands": [
-            {
-                "weight": list(s.highest_weight),
-                "levi_dim": s.levi_dim,
-                "twist": s.twist_check,
-            }
-            for s in report.summands
-        ],
-        "rank_check": {"expected": expected, "got": got},
-    }
-
-
-def _min_twist_dict(report: twists.MinTwistReport) -> dict:
-    return {
-        "space": report.space,
-        "p": report.p,
-        "l": report.l,
-        "d": report.degree,
-        "h0_dim": report.h0_dim,
-        "method": report.method,
-        "witnesses": [list(s.highest_weight) for s in report.witnesses],
-    }
-
-
-def _foliation_dict(report: foliations.FoliationFamilyReport) -> dict:
-    return {
-        "space": report.space,
-        "p": report.p,
-        "l": report.l,
-        "degree": report.degree,
-        "kind": report.kind,
-        "params": dict(report.params),
-        "parameter_space": report.parameter_space,
-        "tf_rank": report.tf_rank,
-        "tf_c1": report.tf_c1,
-        "minimal": report.minimal,
-        "notes": list(report.notes),
-    }
-
-
+_SPEC_FIELDS = ["space", "family", "ambient", "marked_node", "dim", "c1"]
 _FOLIATION_FIELDS = ["space", "p", "l", "degree", "kind", "params",
                      "parameter_space", "tf_rank", "tf_c1", "minimal"]
 
@@ -259,182 +219,71 @@ def run_verify(max_rank: int = 6, jobs: int | None = None) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_MISMATCH), report
 
 
-# -- argument parsing ----------------------------------------------------------------
+# -- commands ------------------------------------------------------------------------
+#
+# Each leaf command's handler returns (exit code, payload, CSV rows, CSV fields);
+# ``main`` writes the payload once, in the format asked for.
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, metavar="PATH")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="cominuscule",
-        description="Twisted differential forms and minimal-degree foliation "
-                    "invariants on cominuscule Grassmannians.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rootsys", help="root-system debug data")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    d = ps.add_parser("dump", help="print Cartan data as JSON")
-    d.add_argument("--type", required=True, metavar="T",
-                   help="root system label, e.g. E6 or A4")
-    _add_common(d)
-
-    p = sub.add_parser("catalog", help="catalog of cominuscule spaces")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    lst = ps.add_parser("list", help="list spaces up to an ambient rank")
-    lst.add_argument("--max-rank", type=int, default=6)
-    _add_common(lst)
-    shw = ps.add_parser("show", help="show one space")
-    shw.add_argument("--space", required=True)
-    _add_common(shw)
-
-    p = sub.add_parser("partitions", help="minimal-twist combinatorics")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    ver = ps.add_parser("verify", help="closed form vs oracle conformance")
-    ver.add_argument("--family", choices=("A", "C", "D"), required=True)
-    ver.add_argument("--max-rank", type=int, default=6)
-    _add_common(ver)
-
-    p = sub.add_parser("omega", help="exterior-power decompositions")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    dec = ps.add_parser("decompose", help="decompose one exterior power")
-    dec.add_argument("--space", required=True)
-    dec.add_argument("--p", type=int, required=True)
-    dec.add_argument("--method", default="auto", choices=("auto", "WeightDP"))
-    _add_common(dec)
-
-    p = sub.add_parser("min-twist", help="minimal twist with witnesses")
-    p.add_argument("--space", required=True)
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("table-audit", help="diff the decomposition against a "
-                                            "transcribed exceptional table")
-    p.add_argument("--which", choices=("E6", "E7"), required=True)
-    _add_common(p)
-
-    p = sub.add_parser("nonvanishing", help="low-twist nonvanishing scan")
-    p.add_argument("--max-rank", type=int, default=6)
-    _add_common(p)
-
-    p = sub.add_parser("foliation", help="minimal-degree foliation families")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    r = ps.add_parser("rect", help="rectangle families on G(k,n)")
-    r.add_argument("--k", type=int, required=True)
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--p", type=int, required=True)
-    _add_common(r)
-    s = ps.add_parser("sympl", help="symplectic projection family")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--a", type=int, required=True)
-    _add_common(s)
-    o = ps.add_parser("ortho", help="orthogonal projection family")
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--a", type=int, required=True)
-    _add_common(o)
-    c = ps.add_parser("cayley", help="octonionic-line family")
-    _add_common(c)
-    sc = ps.add_parser("scan", help="atlas of minimal-degree families")
-    sc.add_argument("--max-rank", type=int, default=8)
-    _add_common(sc)
-
-    p = sub.add_parser("verify", help="batch verification suite")
-    p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=None)
-    _add_common(p)
-    return top
-
-
-# -- command dispatch ----------------------------------------------------------------
-
-
-def _cmd_rootsys(args) -> int:
+def _rootsys_dump(args):
     dump = root_system(args.type).dump()
-    rows = [{"root": r} for r in dump["positive_roots"]]
-    _emit(dump, args.format, args.out, csv_rows=rows, csv_fields=["root"])
-    return EXIT_OK
+    return EXIT_OK, dump, [{"root": r} for r in dump["positive_roots"]], ["root"]
 
 
-def _cmd_catalog(args) -> int:
-    if args.subcommand == "list":
-        rows = [_spec_dict(s) for s in catalog.iter_catalog_specs(args.max_rank)]
-        _emit(rows, args.format, args.out, csv_rows=rows,
-              csv_fields=["space", "family", "ambient", "marked_node", "dim", "c1"])
-        return EXIT_OK
+def _catalog_list(args):
+    rows = [_spec_dict(s) for s in catalog.iter_catalog_specs(args.max_rank)]
+    return EXIT_OK, rows, rows, _SPEC_FIELDS
+
+
+def _catalog_show(args):
     spec = catalog.parse_space(args.space)
-    payload = _spec_dict(spec)
     check = catalog.check_table1(spec)
-    payload["table1_check"] = {
-        "matches": check.matches,
-        "computed": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in check.computed.items()},
-        "expected": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in check.expected.items()},
-        "notes": list(check.notes),
-    }
-    _emit(payload, args.format, args.out, csv_rows=[payload],
-          csv_fields=["space", "family", "ambient", "marked_node", "dim", "c1"])
-    return EXIT_OK if check.matches else EXIT_MISMATCH
+    payload = {**_spec_dict(spec), "table1_check": {
+        "matches": check.matches, "computed": check.computed,
+        "expected": check.expected, "notes": check.notes}}
+    return (EXIT_OK if check.matches else EXIT_MISMATCH), payload, [payload], _SPEC_FIELDS
 
 
-def _cmd_partitions(args) -> int:
+def _partitions_verify(args):
     rows = [{"family": args.family, "k": k, "n": n, "p": p,
-             "formula_l": f, "oracle_l": o.l,
-             "witnesses": [list(m) for m in o.partitions]}
+             "formula_l": f, "oracle_l": o.l, "witnesses": o.partitions}
             for k, n, p, f, o in partitions.closed_form_cases(args.family, args.max_rank)]
     ok = all(r["formula_l"] == r["oracle_l"] for r in rows)
-    _emit(rows, args.format, args.out, csv_rows=rows,
-          csv_fields=["family", "k", "n", "p", "formula_l", "oracle_l", "witnesses"])
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return (EXIT_OK if ok else EXIT_MISMATCH), rows, rows, [
+        "family", "k", "n", "p", "formula_l", "oracle_l", "witnesses"]
 
 
-def _cmd_omega(args) -> int:
-    spec = catalog.parse_space(args.space)
-    report = omega_decompose(spec, args.p, method=args.method)
-    payload = _decomposition_dict(report)
-    rows = payload["summands"]
-    _emit(payload, args.format, args.out, csv_rows=rows,
-          csv_fields=["weight", "levi_dim", "twist"])
-    return EXIT_OK
+def _omega_decompose(args):
+    report = omega_decompose(catalog.parse_space(args.space), args.p, method=args.method)
+    expected, got = report.rank_identity()
+    summands = [{"weight": s.highest_weight, "levi_dim": s.levi_dim,
+                 "twist": s.twist_check} for s in report.summands]
+    payload = {"space": report.spec.name, "p": report.p, "method": report.method,
+               "summands": summands, "rank_check": {"expected": expected, "got": got}}
+    return EXIT_OK, payload, summands, ["weight", "levi_dim", "twist"]
 
 
-def _cmd_min_twist(args) -> int:
-    spec = catalog.parse_space(args.space)
-    report = twists.min_twist(spec, args.p)
-    payload = _min_twist_dict(report)
-    _emit(payload, args.format, args.out, csv_rows=[payload],
-          csv_fields=["space", "p", "l", "d", "h0_dim"])
-    return EXIT_OK
+def _min_twist(args):
+    report = twists.min_twist(catalog.parse_space(args.space), args.p)
+    payload = {"space": report.space, "p": report.p, "l": report.l,
+               "d": report.degree, "h0_dim": report.h0_dim, "method": report.method,
+               "witnesses": [s.highest_weight for s in report.witnesses]}
+    return EXIT_OK, payload, [payload], ["space", "p", "l", "d", "h0_dim"]
 
 
-def _cmd_table_audit(args) -> int:
+def _table_audit(args):
     audit = twists.table_audit(args.which)
-    payload = {
-        "which": audit.which,
-        "ok": audit.ok,
-        "rows": [
-            {
-                "p": r.p,
-                "computed_weights": [list(w) for w in r.computed_weights],
-                "table_weights": [list(w) for w in r.table_weights],
-                "weights_match": r.weights_match,
-                "computed_l": r.computed_l,
-                "table_l": r.table_l,
-                "l_match": r.l_match,
-            }
-            for r in audit.rows
-        ],
-    }
-    _emit(payload, args.format, args.out, csv_rows=payload["rows"],
-          csv_fields=["p", "weights_match", "l_match", "computed_l", "table_l",
-                      "computed_weights", "table_weights"])
-    return EXIT_OK if audit.ok else EXIT_MISMATCH
+    rows = [{"p": r.p, "computed_weights": r.computed_weights,
+             "table_weights": r.table_weights, "weights_match": r.weights_match,
+             "computed_l": r.computed_l, "table_l": r.table_l, "l_match": r.l_match}
+            for r in audit.rows]
+    payload = {"which": audit.which, "ok": audit.ok, "rows": rows}
+    return (EXIT_OK if audit.ok else EXIT_MISMATCH), payload, rows, [
+        "p", "weights_match", "l_match", "computed_l", "table_l",
+        "computed_weights", "table_weights"]
 
 
-def _cmd_nonvanishing(args) -> int:
+def _nonvanishing(args):
     scan = twists.nonvanishing_scan(args.max_rank)
     rows = [{"space": e.space, "p": e.p, "l": e.l, "d": e.degree,
              "status": e.status, "note": e.note} for e in scan.entries]
@@ -445,52 +294,117 @@ def _cmd_nonvanishing(args) -> int:
                        for e in scan.exceptions],
         "entries": rows,
     }
-    _emit(payload, args.format, args.out, csv_rows=rows,
-          csv_fields=["space", "p", "l", "d", "status", "note"])
-    return EXIT_OK if not scan.violations else EXIT_MISMATCH
+    return (EXIT_MISMATCH if scan.violations else EXIT_OK), payload, rows, [
+        "space", "p", "l", "d", "status", "note"]
 
 
-def _cmd_foliation(args) -> int:
-    if args.subcommand == "rect":
-        reports = foliations.rect_family(args.k, args.n, args.p)
-    elif args.subcommand == "sympl":
-        reports = [foliations.symplectic_family(args.n, args.a)]
-    elif args.subcommand == "ortho":
-        reports = [foliations.orthogonal_family(args.n, args.a)]
-    elif args.subcommand == "cayley":
-        reports = [foliations.cayley_family()]
-    else:
-        reports = foliations.foliation_atlas(args.max_rank)
-    rows = [_foliation_dict(r) for r in reports]
-    _emit(rows, args.format, args.out, csv_rows=rows, csv_fields=_FOLIATION_FIELDS)
-    return EXIT_OK
+def _foliation(families):
+    """The handler of a foliation command: ``families(args)`` gives its reports."""
+    def run(args):
+        rows = [{"space": r.space, "p": r.p, "l": r.l, "degree": r.degree,
+                 "kind": r.kind, "params": r.params,
+                 "parameter_space": r.parameter_space, "tf_rank": r.tf_rank,
+                 "tf_c1": r.tf_c1, "minimal": r.minimal, "notes": r.notes}
+                for r in families(args)]
+        return EXIT_OK, rows, rows, _FOLIATION_FIELDS
+    return run
 
 
-def _cmd_verify(args) -> int:
+def _verify(args):
     code, report = run_verify(max_rank=args.max_rank, jobs=args.jobs)
-    rows = report["components"]
-    _emit(report, args.format, args.out, csv_rows=rows,
-          csv_fields=["name", "ok", "checked"])
-    return code
+    return code, report, report["components"], ["name", "ok", "checked"]
 
 
-_DISPATCH = {
-    "rootsys": _cmd_rootsys,
-    "catalog": _cmd_catalog,
-    "partitions": _cmd_partitions,
-    "omega": _cmd_omega,
-    "min-twist": _cmd_min_twist,
-    "table-audit": _cmd_table_audit,
-    "nonvanishing": _cmd_nonvanishing,
-    "foliation": _cmd_foliation,
-    "verify": _cmd_verify,
-}
+# -- argument parsing ----------------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="cominuscule",
+        description="Twisted differential forms and minimal-degree foliation "
+                    "invariants on cominuscule Grassmannians.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    leaves = []
+
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True)
+
+    def leaf(parent, name, help, run):
+        parser = parent.add_parser(name, help=help)
+        parser.set_defaults(run=run)
+        leaves.append(parser)
+        return parser
+
+    p = leaf(group("rootsys", "root-system debug data"), "dump",
+             "print Cartan data as JSON", _rootsys_dump)
+    p.add_argument("--type", required=True, metavar="T",
+                   help="root system label, e.g. E6 or A4")
+
+    cat = group("catalog", "catalog of cominuscule spaces")
+    p = leaf(cat, "list", "list spaces up to an ambient rank", _catalog_list)
+    p.add_argument("--max-rank", type=int, default=6)
+    p = leaf(cat, "show", "show one space", _catalog_show)
+    p.add_argument("--space", required=True)
+
+    p = leaf(group("partitions", "minimal-twist combinatorics"), "verify",
+             "closed form vs oracle conformance", _partitions_verify)
+    p.add_argument("--family", choices=("A", "C", "D"), required=True)
+    p.add_argument("--max-rank", type=int, default=6)
+
+    p = leaf(group("omega", "exterior-power decompositions"), "decompose",
+             "decompose one exterior power", _omega_decompose)
+    p.add_argument("--space", required=True)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--method", default="auto", choices=("auto", "WeightDP"))
+
+    p = leaf(sub, "min-twist", "minimal twist with witnesses", _min_twist)
+    p.add_argument("--space", required=True)
+    p.add_argument("--p", type=int, required=True)
+
+    p = leaf(sub, "table-audit", "diff the decomposition against a "
+                                 "transcribed exceptional table", _table_audit)
+    p.add_argument("--which", choices=("E6", "E7"), required=True)
+
+    p = leaf(sub, "nonvanishing", "low-twist nonvanishing scan", _nonvanishing)
+    p.add_argument("--max-rank", type=int, default=6)
+
+    fol = group("foliation", "minimal-degree foliation families")
+    p = leaf(fol, "rect", "rectangle families on G(k,n)", _foliation(
+        lambda a: foliations.rect_family(a.k, a.n, a.p)))
+    for option in ("--k", "--n", "--p"):
+        p.add_argument(option, type=int, required=True)
+    s = leaf(fol, "sympl", "symplectic projection family", _foliation(
+        lambda a: [foliations.symplectic_family(a.n, a.a)]))
+    o = leaf(fol, "ortho", "orthogonal projection family", _foliation(
+        lambda a: [foliations.orthogonal_family(a.n, a.a)]))
+    for p in (s, o):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+    leaf(fol, "cayley", "octonionic-line family", _foliation(
+        lambda a: [foliations.cayley_family()]))
+    p = leaf(fol, "scan", "atlas of minimal-degree families", _foliation(
+        lambda a: foliations.foliation_atlas(a.max_rank)))
+    p.add_argument("--max-rank", type=int, default=8)
+
+    p = leaf(sub, "verify", "batch verification suite", _verify)
+    p.add_argument("--max-rank", type=int, default=6)
+    p.add_argument("--jobs", type=int, default=None)
+
+    # after each command's own options, as --help lists them
+    for p in leaves:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, metavar="PATH")
+    return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code, payload, csv_rows, csv_fields = args.run(args)
+        _emit(payload, args.format, args.out, csv_rows, csv_fields)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

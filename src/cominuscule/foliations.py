@@ -185,6 +185,12 @@ def cayley_family() -> FoliationFamilyReport:
     )
 
 
+def _space_order(name: str) -> tuple:
+    """A space name as (head, integer parameters): G:1:2 before G:1:10."""
+    head, *params = name.split(":")
+    return head, tuple(map(int, params))
+
+
 def foliation_atlas(max_rank: int) -> list[FoliationFamilyReport]:
     """All minimal-degree families the catalog affords up to an ambient rank:
     minimal rectangles, all symplectic/orthogonal parameters, and the Cayley
@@ -200,5 +206,5 @@ def foliation_atlas(max_rank: int) -> list[FoliationFamilyReport]:
         rows.extend(orthogonal_family(n, a) for a in range(1, n - 1))
     if params["cayley"]:
         rows.append(cayley_family())
-    rows.sort(key=lambda r: (r.space, r.p, -r.params.get("d", 0)))
+    rows.sort(key=lambda r: (_space_order(r.space), r.p, -r.params.get("d", 0)))
     return rows

@@ -49,6 +49,16 @@ _POSITIVE_COUNTS = {
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6}
 
+# The largest rank built.  A build costs about roots x rank steps and memory:
+# A149 (G:2:150) takes about 0.5 s, and A999 (G:2:1000) would need several GB.
+MAX_AMBIENT_RANK = 150
+
+
+def _check_rank(rank: int) -> None:
+    if rank > MAX_AMBIENT_RANK:
+        raise ValueError(f"ambient rank {rank} is above the limit "
+                         f"MAX_AMBIENT_RANK = {MAX_AMBIENT_RANK}")
+
 
 @dataclass(frozen=True)
 class LieType:
@@ -64,6 +74,7 @@ class LieType:
             raise ValueError("only E6 and E7 are supported")
         if self.rank < _MIN_RANK[self.family]:
             raise ValueError(f"{self.family}_{self.rank}: rank too small")
+        _check_rank(self.rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -540,11 +551,17 @@ class LeviSubsystem:
 ROOT_SYSTEM_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
 def root_system(family: str, rank: int | None = None) -> RootSystem:
-    """Cached root-system factory.  Accepts ('A', 4) or 'E6' style arguments."""
+    """Cached root-system factory.  Accepts ('A', 4) or 'E6' style arguments.
+    The rank is checked against ``MAX_AMBIENT_RANK`` before the cache is
+    read."""
     if rank is None:
-        fam, rank = family[0], int(family[1:])
-    else:
-        fam = family
-    return RootSystem(LieType(fam, int(rank)))
+        family, rank = family[0], family[1:]
+    rank = int(rank)
+    _check_rank(rank)
+    return _root_system(family, rank)
+
+
+@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
+def _root_system(family: str, rank: int) -> RootSystem:
+    return RootSystem(LieType(family, rank))

@@ -1,6 +1,6 @@
 import pytest
 
-from cominuscule import catalog
+from cominuscule import catalog, rootsys
 from cominuscule.catalog import (
     cayley,
     catalog_params,
@@ -145,9 +145,9 @@ def test_parse_space_diagnostics(bad):
 
 
 def test_parse_space_refuses_an_ambient_rank_above_the_limit():
-    # refused from the parameters alone: no root system or spec is built
-    assert catalog.MAX_AMBIENT_RANK == 150
-    roots, specs = root_system.cache_info(), catalog._build.cache_info()
+    # refused before any root system or spec is built
+    assert rootsys.MAX_AMBIENT_RANK == 150
+    roots, specs = rootsys._root_system.cache_info(), catalog._build.cache_info()
     for text, rank in (("G:2:1000", 999), ("G:2:152", 151), ("Q:300", 151),
                        ("Q:301", 151), ("IG:151", 151), ("OG:151", 151),
                        ("G:1:" + "9" * 30, 10 ** 30 - 2)):
@@ -155,17 +155,38 @@ def test_parse_space_refuses_an_ambient_rank_above_the_limit():
             parse_space(text)
         assert str(err.value) == (f"bad space {text!r}: ambient rank {rank} is "
                                   "above the limit MAX_AMBIENT_RANK = 150")
-    assert root_system.cache_info() == roots
+    assert rootsys._root_system.cache_info() == roots
     assert catalog._build.cache_info() == specs
 
 
 def test_the_grammar_limit_is_the_ambient_rank_of_each_form(monkeypatch):
-    monkeypatch.setattr(catalog, "MAX_AMBIENT_RANK", 5)
+    monkeypatch.setattr(rootsys, "MAX_AMBIENT_RANK", 5)
     for at, above in (("G:2:6", "G:2:7"), ("Q:9", "Q:11"), ("Q:8", "Q:10"),
                       ("IG:5", "IG:6"), ("OG:5", "OG:6")):
         assert parse_space(at).ambient.rank == 5
         with pytest.raises(ValueError, match="ambient rank 6 is above"):
             parse_space(above)
+
+
+def test_the_library_constructors_are_capped():
+    # the cap sits where root systems are built, so the constructors refuse
+    # what the grammar refuses, with nothing built or cached
+    roots, specs = rootsys._root_system.cache_info(), catalog._build.cache_info()
+    for make, rank in ((lambda: grassmannian(2, 1000), 999),
+                       (lambda: quadric(300), 151), (lambda: quadric(301), 151),
+                       (lambda: lagrangian(151), 151), (lambda: spinor(151), 151),
+                       (lambda: make_spec("grassmannian", 1, 152), 151)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == (f"ambient rank {rank} is above the limit "
+                                  "MAX_AMBIENT_RANK = 150")
+    assert rootsys._root_system.cache_info() == roots
+    assert catalog._build.cache_info() == specs
+    # with two faults the constructor's own check speaks first
+    with pytest.raises(ValueError) as err:
+        parse_space("G:0:1000")
+    assert str(err.value) == ("bad space 'G:0:1000': G(0,1000): need "
+                              "1 <= k <= n-1, n >= 2")
 
 
 def test_the_named_large_spaces_are_within_the_limit(monkeypatch):

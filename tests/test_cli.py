@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 from math import comb
 
@@ -42,13 +43,20 @@ def test_catalog_show_bad_space_is_usage_error(capsys):
 
 
 def test_a_space_above_the_grammar_limit_is_a_usage_error(capsys):
-    roots = rootsys.root_system.cache_info()
+    roots = rootsys._root_system.cache_info()
     code, out, err = run(capsys, "omega", "decompose", "--space", "G:2:1000",
                          "--p", "1")
     assert code == 2 and out == ""
     assert err == ("error: bad space 'G:2:1000': ambient rank 999 is above "
                    "the limit MAX_AMBIENT_RANK = 150\n")
-    assert rootsys.root_system.cache_info() == roots
+    assert rootsys._root_system.cache_info() == roots
+
+
+def test_a_root_system_above_the_limit_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "rootsys", "dump", "--type", "A200")
+    assert code == 2 and out == ""
+    assert err == ("error: ambient rank 200 is above the limit "
+                   "MAX_AMBIENT_RANK = 150\n")
 
 
 def test_omega_decompose_schema(capsys):
@@ -306,6 +314,8 @@ def test_cli_options_are_pinned():
         subs = [a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction)]
         if not subs:
+            # every leaf command has its handler
+            assert callable(parser.get_default("run")), path
             return {" ".join(path): sorted(o for a in parser._actions
                                            for o in a.option_strings
                                            if o not in ("-h", "--help"))}
@@ -369,7 +379,7 @@ def test_output_determinism(capsys):
     assert out1 == out2
     # caching changes no output: a run from empty caches and a second run
     # served from what the first one cached print the same JSON
-    rootsys.root_system.cache_clear()
+    rootsys._root_system.cache_clear()
     catalog._build.cache_clear()
     plethysm._route_summands.cache_clear()
     plethysm._kostant_levels.cache_clear()
@@ -387,6 +397,77 @@ def test_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["l"] == 3
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", ""])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    # a missing directory, and a directory: one error line, nothing written
+    path = tmp_path / target
+    code, out, err = run(capsys, "min-twist", "--space", "Q:5", "--p", "2",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_command_writes_no_out_file(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "min-twist", "--space", "G:0:5", "--p", "2",
+                       "--out", str(target))
+    assert code == 2 and out == ""
+    assert not target.exists()
+
+
+_FOLIATION_HEADER = "space,p,l,degree,kind,params,parameter_space,tf_rank,tf_c1,minimal"
+_SPEC_HEADER = "space,family,ambient,marked_node,dim,c1"
+# one small run of every leaf command: its exit code and CSV header
+CSV_RUNS = [
+    (["rootsys", "dump", "--type", "A2"], 0, "root"),
+    (["catalog", "list", "--max-rank", "3"], 0, _SPEC_HEADER),
+    (["catalog", "show", "--space", "Q:5"], 0, _SPEC_HEADER),
+    (["partitions", "verify", "--family", "C", "--max-rank", "3"], 0,
+     "family,k,n,p,formula_l,oracle_l,witnesses"),
+    (["omega", "decompose", "--space", "G:2:4", "--p", "2"], 0,
+     "weight,levi_dim,twist"),
+    (["min-twist", "--space", "G:2:4", "--p", "2"], 0, "space,p,l,d,h0_dim"),
+    (["table-audit", "--which", "E6"], 1, "p,weights_match,l_match,computed_l,"
+                                          "table_l,computed_weights,table_weights"),
+    (["nonvanishing", "--max-rank", "3"], 0, "space,p,l,d,status,note"),
+    (["foliation", "rect", "--k", "2", "--n", "4", "--p", "1"], 0, _FOLIATION_HEADER),
+    (["foliation", "sympl", "--n", "3", "--a", "1"], 0, _FOLIATION_HEADER),
+    (["foliation", "ortho", "--n", "4", "--a", "1"], 0, _FOLIATION_HEADER),
+    (["foliation", "cayley"], 0, _FOLIATION_HEADER),
+    (["foliation", "scan", "--max-rank", "3"], 0, _FOLIATION_HEADER),
+    (["verify", "--max-rank", "2", "--jobs", "1"], 0, "name,ok,checked"),
+]
+
+
+def _command(argv):
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+
+
+def _leaf_commands(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(path)]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in _leaf_commands(sub, path + (name,))]
+
+
+def test_csv_runs_name_every_leaf_command():
+    leaves = _leaf_commands(cli._build_parser())
+    assert len(leaves) == 14
+    assert [_command(argv) for argv, _, _ in CSV_RUNS] == leaves
+
+
+@pytest.mark.parametrize("argv, code, header", CSV_RUNS,
+                         ids=[_command(argv) for argv, _, _ in CSV_RUNS])
+def test_every_leaf_command_writes_its_csv_header(capsys, argv, code, header):
+    got, out, err = run(capsys, *argv, "--format", "csv")
+    assert (got, err) == (code, "")
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) > 1
 
 
 def _tamper_e6_grade_3(monkeypatch, change):

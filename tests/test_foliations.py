@@ -130,6 +130,17 @@ def test_atlas_sorted_and_minimal():
     assert "OG:6" in spaces
 
 
+def test_atlas_lists_spaces_in_numeric_order():
+    # by head and then integer parameters: G:1:2 before G:1:10
+    spaces = list(dict.fromkeys(r.space for r in foliation_atlas(10)))
+    assert spaces.index("G:1:2") < spaces.index("G:1:10")
+    assert spaces.index("IG:2") < spaces.index("IG:10")
+    assert spaces.index("G:2:9") < spaces.index("G:2:10") < spaces.index("G:3:6")
+    # up to rank 8 every parameter has one digit: the order is the string order
+    names = [r.space for r in foliation_atlas(8)]
+    assert names == sorted(names)
+
+
 def test_atlas_refuses_a_rank_below_two():
     with pytest.raises(ValueError, match="^need max_rank >= 2$"):
         foliation_atlas(1)

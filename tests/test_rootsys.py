@@ -36,6 +36,24 @@ def test_lie_type_validation():
     assert str(LieType("A", 5)) == "A5"
 
 
+def test_the_rank_cap_is_checked_before_the_cache(monkeypatch):
+    assert rootsys.MAX_AMBIENT_RANK == 150
+    roots = rootsys._root_system.cache_info()
+    for make in (lambda: LieType("A", 151), lambda: root_system("A200"),
+                 lambda: root_system("D", 151)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value).endswith(
+            " is above the limit MAX_AMBIENT_RANK = 150")
+    assert rootsys._root_system.cache_info() == roots
+    # a system already cached is refused once the cap is below its rank
+    assert root_system("A", 5) is root_system("A5")
+    monkeypatch.setattr(rootsys, "MAX_AMBIENT_RANK", 4)
+    with pytest.raises(ValueError, match="^ambient rank 5 is above the limit "
+                                         "MAX_AMBIENT_RANK = 4$"):
+        root_system("A", 5)
+
+
 @pytest.mark.parametrize("name", TYPES + ["A10", "B6", "C7", "D8"])
 def test_positive_root_counts(name):
     rs = root_system(name)
