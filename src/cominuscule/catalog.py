@@ -36,20 +36,10 @@ from .rootsys import (
     LeviSubsystem,
     RootSystem,
     Weight,
+    _check_rank,
     negate,
     root_system,
 )
-
-FAMILIES = (
-    "grassmannian",
-    "quadric_odd",
-    "quadric_even",
-    "lagrangian",
-    "spinor",
-    "cayley",
-    "freudenthal",
-)
-
 
 @dataclass(frozen=True)
 class GrassmannianSpec:
@@ -168,6 +158,7 @@ _CONSTRUCTORS = {
     "cayley": cayley,
     "freudenthal": freudenthal,
 }
+FAMILIES = tuple(_CONSTRUCTORS)
 
 
 def make_spec(family: str, *params: int) -> GrassmannianSpec:
@@ -266,9 +257,11 @@ def check_table1(spec: GrassmannianSpec) -> Table1Check:
 def catalog_params(max_rank: int) -> dict[str, list[tuple[int, ...]]]:
     """Per family, in catalog order, the constructor parameters of every
     catalog space whose ambient rank is at most max_rank, ordinary
-    Grassmannians normalized to k <= n - k."""
+    Grassmannians normalized to k <= n - k.  A max_rank above the rank cap is
+    refused at once, before a sweep builds every space below the cap."""
     if max_rank < 2:
         raise ValueError("need max_rank >= 2")
+    _check_rank(max_rank)
     return {
         "grassmannian": [(k, n) for n in range(2, max_rank + 2)  # A_{n-1}
                          for k in range(1, n // 2 + 1)],

@@ -63,10 +63,8 @@ def rect_family(k: int, n: int, p: int) -> list[FoliationFamilyReport]:
     """
     if n < 2 * k:
         raise ValueError(f"rect families need n >= 2k, got k={k}, n={n}")
+    l_min = min_twist_grass(k, n, p)  # range-checks k, then p
     h = n - k
-    if not 1 <= p <= k * h:
-        raise ValueError(f"p={p} out of range 1..{k * h}")
-    l_min = min_twist_grass(k, n, p)
     out = []
     for e in range(1, min(k, p) + 1):
         if p % e:

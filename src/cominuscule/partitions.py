@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .catalog import catalog_params
 
@@ -79,6 +79,8 @@ def _distinct_partitions(size: int, cap: int) -> Iterator[Partition]:
     if size == 0:
         yield ()
         return
+    if size > cap * (cap + 1) // 2:  # more than cap + (cap - 1) + ... + 1
+        return
     for first in range(min(size, cap), 0, -1):
         for rest in _distinct_partitions(size - first, first - 1):
             yield (first,) + rest
@@ -99,13 +101,11 @@ def hooks_q1(p: int, n: int) -> list[Partition]:
 
 
 def hooks_qm1(p: int, n: int) -> list[Partition]:
-    """The arm = leg - 1 hook class of 2p, at most n rows (transposes of the
-    arm = leg + 1 class)."""
+    """The arm = leg - 1 hook class of 2p, at most n rows: the transposes of
+    the arm = leg + 1 class with at most n - 1 rows, sorted likewise."""
     if p < 1 or n < 1:
         raise ValueError("need p >= 1 and n >= 1")
-    out = [from_frobenius(tuple(x - 1 for x in c), c)
-           for c in _distinct_partitions(p, n - 1)]
-    return sorted(out, reverse=True)
+    return sorted(map(dual, hooks_q1(p, n - 1)), reverse=True) if n > 1 else []
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,20 @@ class MinTwistWitness:
     partitions: tuple[Partition, ...]
     criterion: str
     box: tuple[int, int] | None = None
+
+
+def _minimize(mus: Iterable[Partition], cost: Callable[[Partition], int],
+              criterion: str, box: tuple[int, int] | None = None) -> MinTwistWitness:
+    """The least cost over a nonempty partition class, with every minimizer
+    in enumeration order; one pass, one cost per partition."""
+    best, mins = None, []
+    for mu in mus:
+        c = cost(mu)
+        if best is None or c < best:
+            best, mins = c, [mu]
+        elif c == best:
+            mins.append(mu)
+    return MinTwistWitness(best, tuple(mins), criterion, box)
 
 
 def _ceil_sqrt(m: int) -> int:
@@ -156,16 +170,8 @@ def min_twist_grass_oracle(k: int, n: int, p: int) -> MinTwistWitness:
     width = n - k
     if not 1 <= p <= k * width:
         raise ValueError(f"p={p} out of range 1..{k * width} for ({k},{n})")
-    best = None
-    mins: list[Partition] = []
-    for mu in partitions_in_box(p, k, width):
-        cost = mu[0] + len(mu)
-        if best is None or cost < best:
-            best = cost
-            mins = [mu]
-        elif cost == best:
-            mins.append(mu)
-    return MinTwistWitness(best, tuple(mins), COST_A, box=(k, width))
+    return _minimize(partitions_in_box(p, k, width), lambda mu: mu[0] + len(mu),
+                     COST_A, box=(k, width))
 
 
 def min_twist_lagr(p: int) -> int:
@@ -181,10 +187,7 @@ def min_twist_lagr_oracle(n: int, p: int) -> MinTwistWitness:
     """Exhaustive minimization of mu_1 over the arm = leg + 1 class."""
     if not 1 <= p <= n * (n + 1) // 2:
         raise ValueError(f"p={p} out of range 1..{n * (n + 1) // 2} for n={n}")
-    mus = hooks_q1(p, n)
-    best = min(mu[0] for mu in mus)
-    mins = tuple(mu for mu in mus if mu[0] == best)
-    return MinTwistWitness(best, mins, COST_C, box=None)
+    return _minimize(hooks_q1(p, n), lambda mu: mu[0], COST_C)
 
 
 def _spinor_parameters(p: int) -> tuple[int, int]:
@@ -216,11 +219,7 @@ def min_twist_spinor_oracle(n: int, p: int) -> MinTwistWitness:
     """Exhaustive minimization of mu_1 + mu_2 over the arm = leg - 1 class."""
     if not 1 <= p <= n * (n - 1) // 2:
         raise ValueError(f"p={p} out of range 1..{n * (n - 1) // 2} for n={n}")
-    mus = hooks_qm1(p, n)
-    cost = lambda mu: mu[0] + (mu[1] if len(mu) > 1 else 0)
-    best = min(cost(mu) for mu in mus)
-    mins = tuple(mu for mu in mus if cost(mu) == best)
-    return MinTwistWitness(best, mins, COST_D, box=None)
+    return _minimize(hooks_qm1(p, n), lambda mu: sum(mu[:2]), COST_D)
 
 
 def closed_form_cases(family: str, max_rank: int
@@ -234,18 +233,16 @@ def closed_form_cases(family: str, max_rank: int
     """
     params = catalog_params(max_rank)
     if family == "A":
-        spaces = [(k, n, k * (n - k)) for k, n in params["grassmannian"]]
+        yield from ((k, n, p, min_twist_grass(k, n, p), min_twist_grass_oracle(k, n, p))
+                    for k, n in params["grassmannian"]
+                    for p in range(1, k * (n - k) + 1))
     elif family == "C":
-        spaces = [(None, n, n * (n + 1) // 2) for (n,) in params["lagrangian"]]
+        yield from ((None, n, p, min_twist_lagr(p), min_twist_lagr_oracle(n, p))
+                    for (n,) in params["lagrangian"]
+                    for p in range(1, n * (n + 1) // 2 + 1))
     elif family == "D":
-        spaces = [(None, n, n * (n - 1) // 2) for (n,) in params["spinor"]]
+        yield from ((None, n, p, min_twist_spinor(p), min_twist_spinor_oracle(n, p))
+                    for (n,) in params["spinor"]
+                    for p in range(1, n * (n - 1) // 2 + 1))
     else:
         raise ValueError(f"unknown family {family!r}; expected A, C or D")
-    for k, n, top in spaces:
-        for p in range(1, top + 1):
-            if family == "A":
-                yield k, n, p, min_twist_grass(k, n, p), min_twist_grass_oracle(k, n, p)
-            elif family == "C":
-                yield k, n, p, min_twist_lagr(p), min_twist_lagr_oracle(n, p)
-            else:
-                yield k, n, p, min_twist_spinor(p), min_twist_spinor_oracle(n, p)

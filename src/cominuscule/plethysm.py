@@ -557,28 +557,20 @@ def hooks_decompose(spec: GrassmannianSpec, p: int
     The summand of mu has Levi part sum_i (mu_i - mu_{i+1}) l_{n-i} and
     marked-node coefficient -mu_1 (symplectic) or -mu_1 - mu_2 (orthogonal).
     """
-    if spec.family not in ("lagrangian", "spinor"):
+    if spec.family == "lagrangian":
+        hooks, marked = hooks_q1, lambda mu: -mu[0]
+    elif spec.family == "spinor":
+        hooks, marked = hooks_qm1, lambda mu: -(mu[0] + mu[1])
+    else:
         raise ValueError(f"{spec.name}: hook decomposition needs IG:n or OG:n")
     n = spec.params[0]
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
-    if p == 0:
-        mus: list[Partition] = [()]
-    elif spec.family == "lagrangian":
-        mus = hooks_q1(p, n)
-    else:
-        mus = hooks_qm1(p, n)
     out = []
-    for mu in mus:
+    for mu in hooks(p, n) if p else [()]:
         padded = list(mu) + [0] * (n + 1 - len(mu))
-        coeffs = [0] * n
-        for i in range(1, n):
-            coeffs[n - i - 1] += padded[i - 1] - padded[i]
-        if spec.family == "lagrangian":
-            coeffs[n - 1] = -padded[0]
-        else:
-            coeffs[n - 1] = -(padded[0] + padded[1])
-        out.append((mu, _make_summand(spec, tuple(coeffs), p)))
+        levi = [padded[i - 1] - padded[i] for i in range(n - 1, 0, -1)]
+        out.append((mu, _make_summand(spec, (*levi, marked(padded)), p)))
     out.sort(key=lambda t: t[1].highest_weight, reverse=True)
     return out
 

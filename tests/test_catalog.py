@@ -210,6 +210,22 @@ def test_catalog_params_list_the_catalog_in_order():
     assert catalog_params(5)["cayley"] == catalog_params(6)["freudenthal"] == []
 
 
+def test_catalog_params_take_the_rank_cap_and_refuse_beyond_it():
+    params = catalog_params(rootsys.MAX_AMBIENT_RANK)
+    assert params["grassmannian"][-1] == (75, 151) and params["spinor"][-1] == (150,)
+    with pytest.raises(ValueError, match="^ambient rank 151 is above the limit "
+                                         "MAX_AMBIENT_RANK = 150$"):
+        catalog_params(rootsys.MAX_AMBIENT_RANK + 1)
+
+
+def test_make_spec_names_the_families_in_catalog_order():
+    with pytest.raises(ValueError) as exc:
+        make_spec("torus")
+    assert str(exc.value) == (
+        "unknown family 'torus'; expected one of ('grassmannian', 'quadric_odd', "
+        "'quadric_even', 'lagrangian', 'spinor', 'cayley', 'freudenthal')")
+
+
 def test_iter_catalog_is_deterministic_and_rank_bounded():
     first = [s.name for s in iter_catalog_specs(5)]
     second = [s.name for s in iter_catalog_specs(5)]

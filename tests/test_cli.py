@@ -109,6 +109,23 @@ def test_partitions_verify_refuses_a_rank_below_two(capsys, family, max_rank):
     assert (code, out, err) == (2, "", "error: need max_rank >= 2\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list"],
+    ["partitions", "verify", "--family", "A"],
+    ["nonvanishing"],
+    ["foliation", "scan"],
+    ["verify"],
+])
+def test_sweeps_refuse_a_rank_above_the_cap(capsys, argv):
+    # each sweep used to build every catalog space below the cap before the
+    # first one above it failed, which ran for minutes
+    roots = rootsys._root_system.cache_info()
+    code, out, err = run(capsys, *argv, "--max-rank", "151")
+    assert (code, out, err) == (2, "", "error: ambient rank 151 is above the limit "
+                                       "MAX_AMBIENT_RANK = 150\n")
+    assert rootsys._root_system.cache_info() == roots
+
+
 def test_table_audit_exit_codes(capsys):
     code, out, _ = run(capsys, "table-audit", "--which", "E7")
     assert code == 0

@@ -67,6 +67,14 @@ def test_rect_family_validation():
         rect_family(2, 6, 9)
 
 
+def test_rect_family_range_errors_name_the_bad_argument():
+    # rect's own p check used to come first and answer "p=1 out of range 1..0"
+    with pytest.raises(ValueError, match=r"^k=0 out of range for n=5$"):
+        rect_family(0, 5, 1)
+    with pytest.raises(ValueError, match=r"^p=7 out of range 1\.\.6 for \(2,5\)$"):
+        rect_family(2, 5, 7)
+
+
 def test_symplectic_family_values():
     fam = symplectic_family(3, 2)
     assert (fam.p, fam.l, fam.degree) == (3, 3, -1)

@@ -99,6 +99,31 @@ def test_partitions_in_box_prunes_a_full_box(monkeypatch):
         assert calls <= 200, (size, calls)
 
 
+def test_distinct_partitions_prune_a_full_staircase(monkeypatch):
+    # a branch whose size exceeds cap + (cap - 1) + ... + 1 is cut at once;
+    # without that the one partition 19 + 18 + ... + 1 of 190 took 524,288
+    # recursive calls, and hooks_q1(100, 20) took 455,862
+    real = partitions._distinct_partitions
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(partitions, "_distinct_partitions", counting)
+    assert list(counting(190, 19)) == [tuple(range(19, 0, -1))]
+    assert calls <= 200, calls
+    # the subsets of {1, ..., 20} summing to 100, counted independently
+    subsets = [1] + [0] * 100
+    for part in range(1, 21):
+        for total in range(100, part - 1, -1):
+            subsets[total] += subsets[total - part]
+    calls = 0
+    assert len(hooks_q1(100, 20)) == subsets[100]
+    assert calls <= 100_000, calls
+
+
 def _brute_hooks(p, n, delta):
     out = []
     for mu in partitions_in_box(2 * p, n, 2 * p):
@@ -131,6 +156,12 @@ def test_hook_classes_are_exchanged_by_dual(p):
     q1 = {dual(mu) for mu in hooks_q1(p, n)}
     qm1 = set(hooks_qm1(p, n))
     assert q1 == qm1
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_hooks_qm1_with_one_row_is_empty(p):
+    # every member of the arm = leg - 1 class has at least two rows
+    assert hooks_qm1(p, 1) == []
 
 
 def test_min_twist_grass_known_values():
@@ -175,6 +206,24 @@ def test_grass_oracle_witness_invariants():
                     assert sum(mu) == p
                     assert len(mu) <= k and mu[0] <= n - k
                     assert mu[0] + len(mu) == w.l
+
+
+@pytest.mark.parametrize("oracle, hooks, cost, top", [
+    (min_twist_lagr_oracle, hooks_q1, lambda mu: mu[0], lambda n: n * (n + 1) // 2),
+    (min_twist_spinor_oracle, hooks_qm1, lambda mu: mu[0] + mu[1],
+     lambda n: n * (n - 1) // 2),
+])
+def test_hook_oracle_witness_invariants(oracle, hooks, cost, top):
+    for n in range(2, 8):
+        for p in range(1, top(n) + 1):
+            w = oracle(n, p)
+            assert w.partitions and w.box is None
+            for mu in w.partitions:
+                assert sum(mu) == 2 * p and len(mu) <= n
+                assert cost(mu) == w.l
+            members = hooks(p, n)
+            assert all(cost(mu) >= w.l for mu in members), (n, p)
+            assert w.partitions == tuple(mu for mu in members if cost(mu) == w.l)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

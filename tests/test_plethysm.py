@@ -176,6 +176,11 @@ def test_hooks_spinor_weights():
 def test_hooks_rejects_wrong_family():
     with pytest.raises(ValueError):
         hooks_decompose(quadric(5), 2)
+
+
+def test_hooks_refuse_a_space_without_parameters():
+    with pytest.raises(ValueError, match="^E6: hook decomposition needs IG:n or OG:n$"):
+        hooks_decompose(cayley(), 1)
     # the fast paths are reached only through method="auto", which picks
     # the right one for the family
     for spec, p, method in [(quadric(5), 2, "CauchyA"), (spinor(5), 3, "HooksC"),
