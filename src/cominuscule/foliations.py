@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .catalog import GrassmannianSpec, catalog_params, cayley
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
+from .plethysm import DecompositionError
 from .twists import min_twist
 
 
@@ -158,13 +159,18 @@ def cayley_family() -> FoliationFamilyReport:
     spec = cayley()
     report = min_twist(spec, 8)
     if report.l != 8 or len(report.witnesses) != 1:
-        raise AssertionError("Cayley p=8 decomposition check failed")
+        raise DecompositionError(
+            f"E6, p=8: expected l=8 with 1 witness, got l={report.l} "
+            f"with {len(report.witnesses)}")
     witness = report.witnesses[0].highest_weight
     if witness != (-8, 0, 0, 0, 0, 4):
-        raise AssertionError(f"unexpected Cayley witness {witness}")
+        raise DecompositionError(
+            f"E6, p=8: expected the witness (-8, 0, 0, 0, 0, 4), got {witness}")
     dim_dual = spec.ambient.weyl_dim((4, 0, 0, 0, 0, 0))
     if dim_dual != report.h0_dim:
-        raise AssertionError("dual weight dimension mismatch")
+        raise DecompositionError(
+            f"E6, p=8: the dual weight 4 l1 has dimension {dim_dual}, "
+            f"the witness h0_dim={report.h0_dim}")
     return FoliationFamilyReport(
         space="E6",
         p=8,

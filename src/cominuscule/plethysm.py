@@ -600,6 +600,18 @@ def _route_summands(spec: GrassmannianSpec, p: int, route: str
     return _dp_summands(spec, p)
 
 
+# The route ``method="auto"`` takes for each family.
+_AUTO_ROUTES = {
+    "grassmannian": "CauchyA",
+    "lagrangian": "HooksC",
+    "spinor": "HooksD",
+    "quadric_odd": "Kostant",
+    "quadric_even": "Kostant",
+    "cayley": "Kostant",
+    "freudenthal": "Kostant",
+}
+
+
 def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
                     ) -> DecompositionReport:
     """Decomposition report for the p-th exterior power of the cotangent
@@ -612,18 +624,10 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
     if method not in ("auto", "WeightDP"):
         raise ValueError(f"unknown method {method!r}; expected auto or WeightDP")
-    chosen = "WeightDP" if method == "WeightDP" else {
-        "grassmannian": "CauchyA",
-        "lagrangian": "HooksC",
-        "spinor": "HooksD",
-        "quadric_odd": "Kostant",
-        "quadric_even": "Kostant",
-        "cayley": "Kostant",
-        "freudenthal": "Kostant",
-    }[spec.family]
+    chosen = "WeightDP" if method == "WeightDP" else _AUTO_ROUTES[spec.family]
 
     summands = _route_summands(spec, p, chosen)
-    report = DecompositionReport(spec=spec, p=p, summands=summands, method=chosen)
+    report = DecompositionReport(spec, p, summands, chosen)
     expected, got = report.rank_identity()
     if expected != got:
         raise RankIdentityError(

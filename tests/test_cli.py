@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from cominuscule import catalog, cli, foliations, partitions, plethysm, rootsys
+from cominuscule import catalog, cli, foliations, partitions, plethysm, rootsys, twists
 from cominuscule.catalog import quadric
 from cominuscule.cli import main
 
@@ -530,6 +530,15 @@ def test_engine_pass_catches_a_defect_inside_a_run(capsys, monkeypatch,
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: DecompositionError: E6: ")
+
+
+def test_a_closed_form_disagreement_is_an_internal_error(capsys, monkeypatch):
+    real = twists.closed_form_l
+    monkeypatch.setattr(twists, "closed_form_l", lambda spec, p: real(spec, p) + 1)
+    code, out, err = run(capsys, "min-twist", "--space", "G:2:5", "--p", "3")
+    assert code == 3 and out == ""
+    assert err == ("internal error: DecompositionError: G:2:5, p=3: closed "
+                   "form gives l=5, CauchyA gives l=4\n")
 
 
 def test_internal_failure_has_its_own_exit_code(capsys):

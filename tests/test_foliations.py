@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from cominuscule import foliations
 from cominuscule.foliations import (
     cayley_family,
     foliation_atlas,
@@ -11,6 +14,7 @@ from cominuscule.partitions import (
     min_twist_lagr_oracle,
     min_twist_spinor_oracle,
 )
+from cominuscule.plethysm import DecompositionError
 
 
 def test_rect_family_square_case():
@@ -125,6 +129,19 @@ def test_cayley_family():
     assert fam.minimal
     note = fam.notes[0]
     assert "4l6" in note and "4l1" in note  # both duality conventions recorded
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"l": 9}, "expected l=8 with 1 witness, got l=9 with 1"),
+    ({"h0_dim": 1}, "the dual weight 4 l1 has dimension 19305, the witness h0_dim=1"),
+])
+def test_a_wrong_cayley_report_raises_a_decomposition_error(monkeypatch, change,
+                                                            message):
+    real = foliations.min_twist
+    monkeypatch.setattr(foliations, "min_twist",
+                        lambda spec, p: dataclasses.replace(real(spec, p), **change))
+    with pytest.raises(DecompositionError, match=f"^E6, p=8: {message}$"):
+        cayley_family()
 
 
 def test_atlas_sorted_and_minimal():

@@ -249,6 +249,22 @@ def test_weyl_dim_matches_fraction_pairing(group, data):
     assert group.weyl_dim(w) == _weyl_dim_by_pairing(rs, group.positive_roots, w)
 
 
+@given(st.sampled_from(CATALOG_7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ambient_weyl_dim_from_the_levi_dimension(spec, data):
+    # the radical's dim X factors times the Levi dimension give the product
+    # over every positive root; a weight that is not dominant is refused
+    levi = spec.levi
+    assert len(levi._radical_chain) == spec.dim
+    w = data.draw(weights(spec.ambient.rank, 0, 4))
+    want = _weyl_dim_by_pairing(spec.ambient, spec.ambient.positive_roots, w)
+    assert levi.ambient_weyl_dim(w, levi.weyl_dim(w)) == want
+    k = spec.marked_node - 1
+    bent = w[:k] + (-1,) + w[k + 1:]
+    with pytest.raises(ValueError, match="is not dominant"):
+        levi.ambient_weyl_dim(bent, levi.weyl_dim(bent))
+
+
 def test_weyl_dim_is_exact_past_int64():
     # Python integers do not wrap: the weights the former int64 guard
     # refused get exact answers

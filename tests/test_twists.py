@@ -1,6 +1,6 @@
 import pytest
 
-from cominuscule import rootsys
+from cominuscule import rootsys, twists
 from cominuscule.catalog import (
     cayley,
     freudenthal,
@@ -11,7 +11,7 @@ from cominuscule.catalog import (
     spinor,
 )
 from cominuscule.partitions import min_twist_lagr
-from cominuscule.plethysm import IrreducibleSummand, omega_decompose
+from cominuscule.plethysm import DecompositionError, IrreducibleSummand, omega_decompose
 from cominuscule.rootsys import is_dominant
 from cominuscule.twists import (
     closed_form_l,
@@ -77,11 +77,15 @@ def test_h0_below_the_minimal_twist_computes_no_weyl_dimension(monkeypatch):
                         lambda self, w: calls.append("weyl_dim") or weyl_dim(self, w))
     for spec, summands, l in cases:
         assert sum(h0_dim(spec, s, l - 1) for s in summands) == 0
+        assert sum(h0_dim(spec, s.highest_weight, l - 1) for s in summands) == 0
     assert calls == []
-    # the spies see the path that does compute one
+    # the spies see the paths that do compute one: a summand multiplies the
+    # radical's factors onto its Levi dimension, a bare weight takes them all
     spec, summands, l = cases[0]
     assert h0_dim(spec, summands[0], l) > 0
-    assert calls == ["weyl_dim", "chain"]
+    assert calls == ["chain"]
+    assert h0_dim(spec, summands[0].highest_weight, l) > 0
+    assert calls == ["chain", "weyl_dim", "chain"]
 
 
 def test_h0_dim_refuses_a_weight_of_the_wrong_length():
@@ -213,3 +217,14 @@ def test_lagrangian_exception_via_min_twist():
     report = min_twist(lagrangian(3), 3)
     assert report.l == 3 == min_twist_lagr(3)
     assert report.h0_dim >= 1
+
+
+# -- checks that raise ----------------------------------------------------------
+
+
+def test_a_closed_form_disagreement_raises_a_decomposition_error(monkeypatch):
+    real = twists.closed_form_l
+    monkeypatch.setattr(twists, "closed_form_l", lambda spec, p: real(spec, p) + 1)
+    with pytest.raises(DecompositionError, match=(
+            r"^G:2:5, p=3: closed form gives l=5, CauchyA gives l=4$")):
+        min_twist(grassmannian(2, 5), 3)
