@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .rootsys import (
+    DecompositionError,
     LeviSubsystem,
     RootSystem,
     Weight,
@@ -52,7 +53,6 @@ class GrassmannianSpec:
     dim: int
     index_c1: int
     cotangent_weight: Weight
-    nilradical: tuple[Weight, ...] = field(compare=False, repr=False)
     ambient: RootSystem = field(compare=False, repr=False)
     levi: LeviSubsystem = field(compare=False, repr=False)
 
@@ -61,13 +61,14 @@ class GrassmannianSpec:
 
 
 def nilradical_roots(spec: GrassmannianSpec) -> list[Weight]:
-    """Positive roots supported on the marked node.
+    """Positive roots supported on the marked node, in height order: the
+    radical roots of the spec's Levi.
 
     For a cominuscule node the marked coefficient is always exactly 1, which
     the spec checked when it was built; the negatives of these roots are the
     weights of the cotangent bundle, and there are dim X of them.
     """
-    return list(spec.nilradical)
+    return list(spec.levi.radical_roots)
 
 
 # The catalog has 40 specs up to rank 7 and 48 up to rank 8; the cap leaves
@@ -79,32 +80,23 @@ SPEC_CACHE_SIZE = 256
 def _build(family: str, params: tuple[int, ...], name: str,
            ambient: RootSystem, node: int) -> GrassmannianSpec:
     k = node - 1
-    nil = []
-    for root, coord in zip(ambient.positive_roots, ambient.positive_root_coords):
-        if coord[k]:
-            if coord[k] != 1:
-                raise AssertionError(f"{name}: node {node} is not cominuscule")
-            nil.append(root)
-    dim = len(nil)
-    total = [0] * ambient.rank
-    for root in nil:
-        for i, x in enumerate(root):
-            total[i] += x
-    if any(total[i] for i in range(ambient.rank) if i != k):
-        raise AssertionError(f"{name}: sum of nilradical roots is not along the marked node")
-    c1 = total[k]
-    cotangent = negate(ambient.simple_roots[k])
+    levi = LeviSubsystem(ambient, node)
+    if any(c[k] != 1 for c in levi.radical_root_coords):
+        raise DecompositionError(f"{name}: node {node} is not cominuscule")
+    total = [sum(x) for x in zip(*levi.radical_roots)]
+    if any(total[i] for i in levi.nodes):
+        raise DecompositionError(
+            f"{name}: sum of nilradical roots is not along the marked node")
     return GrassmannianSpec(
         family=family,
         params=params,
         name=name,
         marked_node=node,
-        dim=dim,
-        index_c1=c1,
-        cotangent_weight=cotangent,
-        nilradical=tuple(nil),
+        dim=len(levi.radical_roots),
+        index_c1=total[k],
+        cotangent_weight=negate(ambient.simple_roots[k]),
         ambient=ambient,
-        levi=LeviSubsystem(ambient, node),
+        levi=levi,
     )
 
 

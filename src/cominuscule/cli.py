@@ -212,7 +212,7 @@ def run_verify(max_rank: int = 6, jobs: int | None = None) -> tuple[int, dict]:
     ]
     ok = all(c["ok"] for c in components)
     report = {
-        "config": {"max_rank": max_rank, "jobs": jobs},
+        "config": {"max_rank": max_rank},
         "ok": ok,
         "components": components,
     }

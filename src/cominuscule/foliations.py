@@ -107,7 +107,7 @@ def symplectic_family(n: int, a: int) -> FoliationFamilyReport:
     p = a * (a + 1) // 2
     l = a + 1
     if l != min_twist_lagr(p):
-        raise AssertionError("symplectic family twist must be minimal")
+        raise DecompositionError("symplectic family twist must be minimal")
     dim = n * (n + 1) // 2
     return FoliationFamilyReport(
         space=f"IG:{n}",
@@ -131,7 +131,7 @@ def orthogonal_family(n: int, a: int) -> FoliationFamilyReport:
     p = a * (a + 1) // 2
     l = 2 * a
     if l != min_twist_spinor(p):
-        raise AssertionError("orthogonal family twist must be minimal")
+        raise DecompositionError("orthogonal family twist must be minimal")
     dim = n * (n - 1) // 2
     return FoliationFamilyReport(
         space=f"OG:{n}",

@@ -21,6 +21,7 @@ from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 from .catalog import catalog_params
+from .rootsys import DecompositionError
 
 Partition = tuple[int, ...]
 
@@ -196,10 +197,10 @@ def _spinor_parameters(p: int) -> tuple[int, int]:
     a = _ceil_sqrt(8 * p) // 2
     b2 = a * (a + 1) - 2 * p
     if b2 < 0 or b2 % 2:
-        raise AssertionError("parametrization 2p = a(a+1) - 2b failed")
+        raise DecompositionError("parametrization 2p = a(a+1) - 2b failed")
     b = b2 // 2
     if not 0 <= b < max(a, 1):
-        raise AssertionError(f"b={b} out of range for a={a}")
+        raise DecompositionError(f"b={b} out of range for a={a}")
     return a, b
 
 

@@ -43,11 +43,7 @@ from math import comb, prod
 
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
-from .rootsys import Weight
-
-
-class DecompositionError(RuntimeError):
-    """Internal consistency failure of a decomposition."""
+from .rootsys import DecompositionError, Weight
 
 
 class RankIdentityError(DecompositionError):
@@ -74,6 +70,9 @@ class WeightMultiset:
     def from_entries(cls, grade: int, entries: dict[Weight, int]) -> "WeightMultiset":
         import numpy as np
         keys = sorted(entries)
+        for key in keys:
+            if not all(-2 ** 15 <= x < 2 ** 15 for x in key):
+                raise ValueError(f"weight {key} has a coordinate outside int16")
         rows = np.asarray(keys, dtype=np.int16)
         counts = np.asarray([entries[k] for k in keys], dtype=np.int64)
         return cls(grade=grade, _rows=rows, _counts=counts)

@@ -6,22 +6,25 @@ attaches at node 4).  All arithmetic is exact and integer: rationals appear
 only in the public ``pairing`` and ``inverse_cartan``; no floating point.
 
 Every derived table is read off the simple-root coordinates c(beta) of the
-positive roots and the norms |alpha_i|^2, through one parent table: every
-non-simple positive root is beta = beta' + alpha_i with beta' positive
-(Humphreys, Introduction to Lie Algebras and Representation Theory, 10.2),
-so the roots form a tree over the simple roots.  Since (l_i, beta) =
-c_i(beta) |alpha_i|^2 / 2, any linear function of beta, such as
-2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1), is its parent's
-value plus one term: a Weyl dimension is one pass down the tree and one
-product.  A Levi subsystem's tree is the ambient tree restricted; the roots
-left over, those of the radical, form a tree over the marked simple root, so
-an ambient Weyl dimension is a Levi dimension times the radical's factors.  The
-Casimir identity ``sum_{beta > 0} (lambda, beta) beta = h^vee lambda``
-(Bourbaki, Lie Groups and Lie Algebras, VI.1.12; h^vee the dual Coxeter
-number) gives the inverse Cartan matrix without elimination:
+positive roots and the norms |alpha_i|^2, through parent tables, and one
+rule, ``_parent_table``, builds every tree: a non-simple positive root is
+beta = beta' + alpha_i with beta' a root of its own set (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 10.2).  The sets are
+all positive roots, a tree over the simple roots, and the two halves of the
+split at a marked node k: the Levi roots (c_k = 0), a tree over the other
+simple roots, and the radical's (c_k >= 1), a tree over alpha_k.  Since
+(l_i, beta) = c_i(beta) |alpha_i|^2 / 2, any linear function of beta, such
+as 2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1), is its
+parent's value plus one term: a Weyl dimension is one pass down a tree and
+one product, and an ambient Weyl dimension is a Levi dimension times the
+radical's factors.  The Casimir identity
+``sum_{beta > 0} (lambda, beta) beta = h^vee lambda`` (Bourbaki, Lie Groups
+and Lie Algebras, VI.1.12; h^vee the dual Coxeter number) gives the
+inverse Cartan matrix without elimination:
 ``2 h^vee C^{-1} = G diag(|alpha_i|^2)`` with G the Gram matrix
-``sum_beta c(beta) c(beta)^T``, read off the tree and checked exactly on
-construction.  Everything is pure Python integers, which cannot overflow.
+``sum_beta c(beta) c(beta)^T``, read off the ambient tree and checked
+exactly on construction.  Everything is pure Python integers, which cannot
+overflow.
 
 The invariant form is normalized so that long roots have squared length 2.
 Published tables sometimes use a different global scale (e.g. the type-C
@@ -35,9 +38,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import prod
 
 Weight = tuple[int, ...]
+
+
+class DecompositionError(RuntimeError):
+    """Internal consistency failure: a self-check of the library found its
+    own data or results inconsistent."""
+
 
 # Closed-form positive-root counts, used as a self-test of the closure
 # construction (one generation code path for all seven types).
@@ -153,8 +163,30 @@ def _weyl_dim(chain, den: int, v: list[int], scale: int = 1) -> int:
     from the chain values v of w; den is prod 2<rho, beta>."""
     q, r = divmod(scale * _chain_product(chain, v), den)
     if r:
-        raise AssertionError("Weyl dimension did not come out integral")
+        raise DecompositionError("Weyl dimension did not come out integral")
     return q
+
+
+def _parent_table(coords) -> tuple[tuple[int, int], ...]:
+    """The parent table of a set of positive roots, given by their
+    simple-root coordinate tuples in height order: ``(parent, i)`` for each
+    root beta, with beta = parent + alpha_i and the parent an earlier root of
+    the same set, or parent -1 for a root of height 1.  A root of greater
+    height with no parent in the set is refused."""
+    index: dict[tuple[int, ...], int] = {}
+    table = []
+    for n, c in enumerate(coords):
+        for i in compress(range(len(c)), c):  # the i with c_i > 0
+            parent = index.get(c[:i] + (c[i] - 1,) + c[i + 1:])
+            if parent is not None:
+                table.append((parent, i))
+                break
+        else:
+            if sum(c) != 1:
+                raise DecompositionError(f"root {c} has no parent in its set")
+            table.append((-1, c.index(1)))
+        index[c] = n
+    return tuple(table)
 
 
 def _gram(rank: int, chain) -> list[list[int]]:
@@ -201,7 +233,7 @@ class RootSystem:
          self._chain) = self._generate_positive_roots()
         expected = _POSITIVE_COUNTS[lie_type.family](self.rank)
         if len(self.positive_roots) != expected:
-            raise AssertionError(
+            raise DecompositionError(
                 f"{lie_type}: got {len(self.positive_roots)} positive roots, "
                 f"expected {expected}"
             )
@@ -219,7 +251,7 @@ class RootSystem:
         if two_h % 2 or any(x != (two_h if i == j else 0)
                             for i, row in enumerate(cartan_inv)
                             for j, x in enumerate(row)):
-            raise AssertionError(
+            raise DecompositionError(
                 f"{lie_type}: Casimir identity fails, C c^T c D is not 2h I")
         self.dual_coxeter = two_h // 2
         # 2 h^vee C^{-1}: column j holds the simple-root coordinates of
@@ -235,22 +267,19 @@ class RootSystem:
 
     def _generate_positive_roots(self):
         """All positive roots by reflection closure from the simple roots,
-        with the parent table ``(parent, i)`` of each: beta = parent + alpha_i,
-        the parent -1 for a simple root.
+        with their parent table.
 
         For a positive root beta with <beta, alpha_i^vee> = -m < 0, s_i beta
         = beta + m alpha_i is a positive root of greater height, and every
         positive root arises from a simple root by such steps (Humphreys,
         Introduction to Lie Algebras and Representation Theory, 10.2-10.3).
-        The alpha_i-string from beta to s_i beta is unbroken, so s_i beta -
-        alpha_i is a positive root: the unit-step parent.  A step can raise
-        the height by 2 (types B and C), so duplicates are caught across all
-        levels.  Sorted by (height, coordinates), so parents come first.
+        A step can raise the height by 2 (types B and C), so duplicates are
+        caught across all levels.  Sorted by (height, coordinates), so parents
+        come first.
         """
         r = self.rank
         coords = {tuple(int(i == j) for j in range(r)): w
                   for i, w in enumerate(self.simple_roots)}
-        label = {c: i for i, c in enumerate(coords)}
         level = list(coords)
         while level:
             nxt = []
@@ -262,19 +291,10 @@ class RootSystem:
                         if c2 not in coords:
                             coords[c2] = tuple(
                                 x - m * y for x, y in zip(w, self.simple_roots[i]))
-                            label[c2] = i
                             nxt.append(c2)
             level = nxt
-        ordered = sorted(coords, key=lambda c: (sum(c), c))
-        index = {c: n for n, c in enumerate(ordered)}
-        chain = []
-        for c in ordered:
-            i = label[c]
-            parent = -1 if sum(c) == 1 else index.get(c[:i] + (c[i] - 1,) + c[i + 1:])
-            if parent is None:
-                raise AssertionError(f"{self.lie_type}: root {c} has no parent")
-            chain.append((parent, i))
-        return tuple(coords[c] for c in ordered), tuple(ordered), tuple(chain)
+        ordered = tuple(sorted(coords, key=lambda c: (sum(c), c)))
+        return tuple(coords[c] for c in ordered), ordered, _parent_table(ordered)
 
     # -- exact pairing ---------------------------------------------------------
 
@@ -462,10 +482,10 @@ class RootSystem:
             lhs = self._pair_scaled(diff, _sub(top_shift, diff))
             # lhs = <highest+rho,highest+rho> - <mu+rho,mu+rho>, times 4 h^vee
             if lhs <= 0:
-                raise AssertionError("Freudenthal denominator must be positive")
+                raise DecompositionError("Freudenthal denominator must be positive")
             q, r = divmod(scale * rhs, lhs)
             if r or q <= 0:
-                raise AssertionError("Freudenthal multiplicity must be a positive integer")
+                raise DecompositionError("Freudenthal multiplicity must be a positive integer")
             mults[mu] = q
         return mults
 
@@ -493,7 +513,11 @@ class LeviSubsystem:
     minus one marked node, acting on full ambient weight coordinates.
 
     ``node`` is 1-based (Bourbaki).  Levi-dominance means nonnegativity on
-    every coordinate except the marked one, which records the twist.
+    every coordinate except the marked one, which records the twist.  The
+    split at the marked node k is made here: ``positive_roots`` are the Levi
+    roots (c_k = 0), and ``radical_roots`` those of the radical (c_k >= 1),
+    with their simple-root coordinates in ``radical_root_coords``; both keep
+    the ambient height order, and each is a tree of its own.
     """
 
     def __init__(self, ambient: RootSystem, node: int):
@@ -503,40 +527,18 @@ class LeviSubsystem:
         self.node = node
         self._k = node - 1
         self.nodes = tuple(i for i in range(ambient.rank) if i != self._k)
-        # The ambient parent table restricted: a Levi root has c_k = 0, so
-        # its label is not k and its parent has c_k = 0 too.
-        keep = [n for n, c in enumerate(ambient.positive_root_coords)
-                if c[self._k] == 0]
-        index = {n: m for m, n in enumerate(keep)}
-        index[-1] = -1
-        self._chain = tuple((index.get(ambient._chain[n][0]), ambient._chain[n][1])
-                            for n in keep)
-        if any(parent is None for parent, _ in self._chain):
-            raise AssertionError(f"{self}: a Levi root has a non-Levi parent")
-        self.positive_roots = tuple(ambient.positive_roots[n] for n in keep)
-        self._coords = tuple(ambient.positive_root_coords[n] for n in keep)
-        self._weyl_den = _chain_product(self._chain, ambient.simple_root_norms)
-        # The radical's roots (c_k >= 1), each a radical root plus a simple
-        # root, over alpha_k: a tree of their own, which ``ambient_weyl_dim``
-        # walks instead of the ambient one.
-        radical = [c for c in ambient.positive_root_coords if c[self._k]]
-        index = {c: n for n, c in enumerate(radical)}
-        chain = []
-        for c in radical:
-            step = (-1, self._k)  # alpha_k, first in height order
-            for i in range(ambient.rank):
-                if c[i] and (d := c[:i] + (c[i] - 1,) + c[i + 1:]) in index:
-                    step = (index[d], i)
-                    break
-            chain.append(step)
-        self._radical_chain = tuple(chain)
-        self._radical_den = _chain_product(self._radical_chain,
-                                           ambient.simple_root_norms)
-        # A root left without a radical parent would read alpha_k's value,
-        # less than its own, and so would its descendants: the product shows it.
-        if self._weyl_den * self._radical_den != ambient._weyl_den:
-            raise AssertionError(f"{self}: the Levi and radical trees do not "
-                                 "split the positive roots")
+        # ``ambient_weyl_dim`` walks the radical tree instead of the ambient one
+        k, coords = self._k, ambient.positive_root_coords
+        roots = tuple(zip(ambient.positive_roots, coords))
+        self.positive_roots = tuple(r for r, c in roots if not c[k])
+        self._coords = tuple(c for c in coords if not c[k])
+        self.radical_roots = tuple(r for r, c in roots if c[k])
+        self.radical_root_coords = tuple(c for c in coords if c[k])
+        norms = ambient.simple_root_norms
+        self._chain = _parent_table(self._coords)
+        self._weyl_den = _chain_product(self._chain, norms)
+        self._radical_chain = _parent_table(self.radical_root_coords)
+        self._radical_den = _chain_product(self._radical_chain, norms)
 
     def is_dominant(self, w: Weight) -> bool:
         return all(w[i] >= 0 for i in self.nodes)

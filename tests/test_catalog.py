@@ -15,7 +15,7 @@ from cominuscule.catalog import (
     quadric,
     spinor,
 )
-from cominuscule.rootsys import root_system
+from cominuscule.rootsys import DecompositionError, root_system
 
 
 def test_cayley_derived_data():
@@ -65,7 +65,7 @@ def test_nilradical_counts():
 
 def test_a_node_that_is_not_cominuscule_is_refused_at_build_time():
     # node 2 of E6 has coefficient 2 in the highest root
-    with pytest.raises(AssertionError, match="E6:2: node 2 is not cominuscule"):
+    with pytest.raises(DecompositionError, match="E6:2: node 2 is not cominuscule"):
         catalog._build("cayley", (), "E6:2", root_system("E6"), 2)
 
 

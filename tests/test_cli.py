@@ -185,6 +185,24 @@ def test_verify_small_run(capsys):
         assert err == "error: --jobs must be at least 1\n", jobs
 
 
+def test_verify_output_does_not_depend_on_jobs(capsys):
+    # the thread count cannot change a result, and the report does not echo
+    # it, so a fixed input prints the same JSON on every machine
+    outs = [run(capsys, "verify", "--max-rank", "3", "--jobs", jobs)
+            for jobs in ("1", "3")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["config"] == {"max_rank": 3}
+
+
+def test_a_library_self_check_is_an_internal_error(capsys, monkeypatch):
+    # every self-check raises DecompositionError, reported with exit 3
+    monkeypatch.setattr(foliations, "min_twist_lagr", lambda p: 0)
+    code, out, err = run(capsys, "foliation", "sympl", "--n", "4", "--a", "2")
+    assert code == 3 and out == ""
+    assert err == ("internal error: DecompositionError: symplectic family "
+                   "twist must be minimal\n")
+
+
 def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers):
     # drop the one summand of grades 2 and 3 of Q:5 from the route auto
     # takes there: verify must list each (space, p) with both sums and exit

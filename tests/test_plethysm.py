@@ -125,6 +125,18 @@ def test_decompose_rejects_inconsistent_multiset():
         decompose(ws, spec)
 
 
+def test_from_entries_refuses_a_weight_outside_int16():
+    # numpy would raise a bare OverflowError here, or wrap the value
+    weight = (40000, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"weight \(40000, 0, 0, 0, 0, 0\) "
+                       "has a coordinate outside int16"):
+        WeightMultiset.from_entries(1, {(0,) * 6: 1, weight: 1})
+    with pytest.raises(ValueError, match="outside int16"):
+        WeightMultiset.from_entries(1, {(-2 ** 15 - 1,): 1})
+    edge = {(2 ** 15 - 1,): 2, (-2 ** 15,): 3}
+    assert WeightMultiset.from_entries(1, edge).entries == edge
+
+
 def test_cauchy_matches_dp_small():
     fast = omega_decompose(grassmannian(2, 4), 2)
     dp = omega_decompose(grassmannian(2, 4), 2, method="WeightDP")

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cominuscule import rootsys
-from cominuscule.catalog import iter_catalog_specs
+from cominuscule.catalog import iter_catalog_specs, nilradical_roots
 from cominuscule.rootsys import (
-    LeviSubsystem, LieType, RootSystem, is_dominant, negate, root_system)
+    DecompositionError, LeviSubsystem, LieType, RootSystem, is_dominant, negate,
+    root_system)
 from cominuscule.twists import h0_dim
 
 TYPES = ["A1", "A2", "A4", "B2", "B3", "C2", "C3", "C4", "D4", "D5", "E6", "E7"]
@@ -287,26 +288,60 @@ def test_weyl_dim_is_exact_past_int64():
             spec.ambient, spec.ambient.positive_roots, twisted)
 
 
+def _assert_unit_steps(coords, chain):
+    # each root is a simple root, or a unit step from an earlier root of
+    # the same set
+    for n, (c, (parent, i)) in enumerate(zip(coords, chain)):
+        if parent < 0:
+            assert c == tuple(int(j == i) for j in range(len(c)))
+        else:
+            assert 0 <= parent < n
+            assert c == tuple(x + (j == i) for j, x in enumerate(coords[parent]))
+
+
 @pytest.mark.parametrize("fam,r", [
     *((f, r) for f in "ABCD" for r in range(rootsys._MIN_RANK[f], 11)),
     ("E", 6), ("E", 7), ("A", 40), ("D", 30)])
 def test_parent_table_and_tree_gram(fam, r):
     rs = RootSystem(LieType(fam, r))
     coords = rs.positive_root_coords
-    for c, (parent, i) in zip(coords, rs._chain):
-        if parent < 0:
-            assert c == tuple(int(j == i) for j in range(r))
-        else:  # a unit step from a positive root
-            assert c == tuple(x + (j == i) for j, x in enumerate(coords[parent]))
+    _assert_unit_steps(coords, rs._chain)
     brute = [[sum(c[a] * c[b] for c in coords) for b in range(r)] for a in range(r)]
     assert rootsys._gram(r, rs._chain) == brute
+
+
+@pytest.mark.parametrize("spec", list(iter_catalog_specs(8)), ids=str)
+def test_levi_and_radical_trees(spec):
+    # the split at the marked node: the Levi and radical roots each form a
+    # tree of their own, the radical one of dim X roots over alpha_k alone
+    levi, k = spec.levi, spec.marked_node - 1
+    _assert_unit_steps(levi._coords, levi._chain)
+    _assert_unit_steps(levi.radical_root_coords, levi._radical_chain)
+    assert len(levi.radical_roots) == spec.dim
+    assert [c for c in levi.radical_root_coords if sum(c) == 1] == [
+        tuple(int(j == k) for j in range(spec.ambient.rank))]
+    ambient = spec.ambient
+    assert nilradical_roots(spec) == [
+        root for root, c in zip(ambient.positive_roots, ambient.positive_root_coords)
+        if c[k] == 1]
+
+
+def test_parent_table_refuses_a_missing_link():
+    # alpha_1 + alpha_2 + alpha_3 of A3 without alpha_1 + alpha_2 and
+    # alpha_2 + alpha_3: no parent is in the set
+    with pytest.raises(DecompositionError, match=r"root \(1, 1, 1\) has no parent"):
+        rootsys._parent_table([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    # a parent that comes later is no parent: height order is required
+    with pytest.raises(DecompositionError, match=r"root \(1, 1\) has no parent"):
+        rootsys._parent_table([(1, 1), (1, 0), (0, 1)])
+    assert rootsys._parent_table([(0, 1), (1, 1)]) == ((-1, 1), (0, 0))
 
 
 @pytest.mark.parametrize("name,norms", [
     ("B3", (2, 2, 2)), ("B3", (1, 1, 2)), ("C3", (2, 2, 1)), ("A3", (2, 2, 1))])
 def test_wrong_norms_fail_the_casimir_check(monkeypatch, name, norms):
     monkeypatch.setattr(rootsys, "_norms", lambda lie_type: norms)
-    with pytest.raises(AssertionError, match="Casimir"):
+    with pytest.raises(DecompositionError, match="Casimir"):
         RootSystem(LieType(name[0], int(name[1:])))
 
 

@@ -26,6 +26,20 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def test_no_bare_assertion_errors_in_library():
+    # every self-check raises the one DecompositionError, which the CLI
+    # reports with exit 3; a bare AssertionError would be a second type
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            target = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(target, "id", None) == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def _cache_decorator(node):
     """The name of a functools cache decorator, or None."""
     target = node.func if isinstance(node, ast.Call) else node
