@@ -3,8 +3,8 @@
 Four independent routes agree: the partition-indexed fast paths
 (tensor-square, symmetric-square, alternating-square Cauchy formulas),
 Kostant's theorem (one summand per minimal coset representative), and the
-general weight engine (subset-sum dynamic program over the nilradical roots
-plus Klimyk's formula).  The quadrics and the exceptional spaces have no
+general weight engine (Newton's identities over the cotangent weights,
+each product read off by the Brauer-Klimyk rule).  The quadrics and the exceptional spaces have no
 partition fast path; Kostant's route answers them, and the engine, run when
 forced, checks every route from first principles.
 """

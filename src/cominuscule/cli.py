@@ -109,7 +109,7 @@ def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
     """The rank identity of the auto route on every catalog space with
     dim <= 36, and for dim <= 27 the auto route against the forced weight
     engine: one pool task per space asks each grade once per route, in
-    order, so no two threads build the same DP tables."""
+    order, so no two threads run the engine pass of one space."""
     specs = [s for s in catalog.iter_catalog_specs(max_rank) if s.dim <= 36]
 
     def check(spec):

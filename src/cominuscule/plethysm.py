@@ -11,21 +11,20 @@ Four routes produce the same answer and are tested against each other:
   w rho - rho per minimal coset representative w of length p, for every
   family; the route ``auto`` takes for the quadrics and the exceptional
   spaces;
-* ``_engine_levels``, the general weight engine: a subset-sum dynamic
-  program over the nilradical roots produces the weight multisets of the
-  exterior powers, and Klimyk's formula reads the irreducible summands off
-  them in vectorized passes of Levi reflections.  It runs only when forced
-  (``method="WeightDP"``), as the independent check of the other three.
+* ``_engine_levels``, the general weight engine: Newton's identities build
+  each exterior power from the lower ones and the Adams powers of the
+  cotangent space, and the Brauer-Klimyk rule reads off each product with
+  one dot action (``RootSystem.dot_dominant``) per pair of a summand and a
+  cotangent weight.  It reads neither the partitions nor Kostant's walk,
+  and runs only when forced (``method="WeightDP"``), as the independent
+  check of the other three.
 
-Only the engine uses numpy, and it imports numpy inside its functions, so
-the other three routes never load it.
-
-The engine makes one pass per space.  Its DP runs once to floor(dim/2) on
-int64 mixed-radix keys in one box of weights (``_radix``; a space whose box
-does not fit 64 bits is refused before any allocation) and hands the keys of
-each run of consecutive grades, the grade as one more key coordinate,
-straight to the Klimyk pass.  The upper half comes from the duality
-``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.
+The engine makes one pass per space to floor(dim/2), in Python integers,
+and refuses a pass past ``ENGINE_STEP_LIMIT`` reflection steps with one
+DecompositionError.  The upper half comes from the duality
+``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.  ``omega_p_weights`` and
+``decompose`` are the per-grade reference for it: every weight of one grade
+by subset sums, then Klimyk's formula over the same dot action.
 
 Kostant's route caches the coset points of every grade of a space and
 computes the summands, with their Levi dimensions, only for the grade asked;
@@ -38,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, prod
-
+from math import comb
+from operator import add, sub
 
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
-from .rootsys import DecompositionError, Weight
+from .rootsys import DecompositionError, Weight, negate
 
 
 class RankIdentityError(DecompositionError):
@@ -57,38 +56,26 @@ class RankIdentityError(DecompositionError):
 
 @dataclass(frozen=True, eq=False)
 class WeightMultiset:
-    """Weight multiset of one exterior-power grade, full-group coordinates.
-
-    Backed by numpy arrays; ``entries`` materializes a plain dict.
-    """
+    """Weight multiset of one exterior-power grade, full-group coordinates:
+    a dict from weight to count, held as exact Python integers.
+    ``entries`` returns a copy."""
 
     grade: int
-    _rows: np.ndarray = field(repr=False)
-    _counts: np.ndarray = field(repr=False)
+    _entries: dict[Weight, int] = field(repr=False)
 
     @classmethod
     def from_entries(cls, grade: int, entries: dict[Weight, int]) -> "WeightMultiset":
-        import numpy as np
-        keys = sorted(entries)
-        for key in keys:
-            if not all(-2 ** 15 <= x < 2 ** 15 for x in key):
-                raise ValueError(f"weight {key} has a coordinate outside int16")
-        rows = np.asarray(keys, dtype=np.int16)
-        counts = np.asarray([entries[k] for k in keys], dtype=np.int64)
-        return cls(grade=grade, _rows=rows, _counts=counts)
+        return cls(grade=grade, _entries=dict(entries))
 
     def total(self) -> int:
-        return int(self._counts.sum())
+        return sum(self._entries.values())
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._entries)
 
     @property
     def entries(self) -> dict[Weight, int]:
-        return {
-            tuple(int(x) for x in row): int(c)
-            for row, c in zip(self._rows, self._counts)
-        }
+        return dict(self._entries)
 
 
 @dataclass(frozen=True)
@@ -160,100 +147,50 @@ def _make_summand(spec: GrassmannianSpec, weight: Weight, p: int) -> Irreducible
     )
 
 
-# -- subset-sum dynamic program ---------------------------------------------------
-
-
-def _radix(lo: np.ndarray, hi: np.ndarray, name: str) -> np.ndarray:
-    """Place values of a mixed-radix int64 key, injective on integer rows
-    inside the box lo..hi: the key of a row w is ``(w - lo) @ place``.  The
-    last coordinate is the most significant, so sorting keys sorts rows the
-    way the DP emits them."""
-    import numpy as np
-    place = [1]
-    for span in (hi - lo + 1).tolist():
-        place.append(place[-1] * span)
-    if place[-1] >= 2 ** 63:
+def _summands(spec: GrassmannianSpec, p: int, mult: dict[Weight, int],
+              size: int, source: str) -> tuple[IrreducibleSummand, ...]:
+    """The summands of grade p, sorted descending, with the multiplicities
+    ``mult`` of their highest weights.  Raises DecompositionError unless
+    every multiplicity is nonnegative and the Levi dimensions add up to
+    ``size``, which ``source`` names."""
+    out: list[IrreducibleSummand] = []
+    for w in sorted(mult, reverse=True):
+        m = mult[w]
+        if m < 0:
+            raise DecompositionError(
+                f"{spec.name}, p={p}: negative multiplicity {m} at {w}")
+        if m:
+            out += [_make_summand(spec, w, p)] * m
+    total = sum(s.levi_dim for s in out)
+    if total != size:
         raise DecompositionError(
-            f"{name}: weight box of {place[-1]} points does not fit a 64-bit key")
-    return np.asarray(place[:-1], dtype=np.int64)
+            f"{spec.name}, p={p}: summands have total dimension {total}, "
+            f"{source} {size}")
+    return tuple(out)
 
 
-def _encode(rows: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """Keys of integer rows inside the box from lo, column by column (a
-    single matrix product would hold an int64 copy of every row)."""
-    import numpy as np
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for j, p in enumerate(place.tolist()):
-        keys += (rows[:, j] - lo[j]) * p
-    return keys
+# -- the per-grade reference: subset sums and Klimyk's formula ----------------------
 
 
-def _decode(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int16 rows of the keys of the box lo..hi, stored column by column."""
-    import numpy as np
-    rows = np.empty((len(keys), len(lo)), dtype=np.int16, order="F")
-    for j, span in enumerate((hi - lo + 1).tolist()):
-        keys, digit = np.divmod(keys, span)
-        rows[:, j] = digit + lo[j]
-    return rows
-
-
-def _group(keys: np.ndarray, counts: np.ndarray):
-    """Sort int64 keys, summing the counts of equal keys."""
-    import numpy as np
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = counts[order]
-    head = np.empty(len(keys), dtype=bool)
-    head[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    idx = np.flatnonzero(head)
-    return keys[idx], np.add.reduceat(counts, idx)
-
-
-# Distinct DP states summed over the grades one DP keeps.  To floor(dim/2),
-# E7 holds 361,040 and IG:8 13,230,163 (a forced IG:8 question takes 13 s
-# and 0.4 GB on one CPU).  Q:30 would hold 46,633,948, over 1 GB for the DP
-# alone, and OG:10, IG:10, G:2:18 and G:3:21 need more than a 2.5 GB
-# address space; each is refused after 1.3-2.3 s at about 0.5 GB.
-DP_STATE_LIMIT = 2 ** 24
-
-
-def _exterior_tables(spec: GrassmannianSpec, max_grade: int):
-    """Weight multisets of the exterior powers of the cotangent space up to
-    max_grade, by a 0/1-knapsack over the negated nilradical roots.
-
-    Every partial sum lies in the box whose bounds are, per coordinate, the
-    sums of the negative and of the positive entries; a state is its
-    ``_radix`` key in that box, so adding a root is adding one scalar.
-    The states only grow, and past ``DP_STATE_LIMIT`` of them the DP stops
-    with a DecompositionError.
-    Returns lo, hi and per grade a pair (keys, counts), keys sorted.
-    """
-    import numpy as np
-    arr = -np.asarray(nilradical_roots(spec), dtype=np.int64)
-    lo = np.minimum(arr, 0).sum(axis=0)
-    hi = np.maximum(arr, 0).sum(axis=0)
-    place = _radix(lo, hi, spec.name)
-    deltas = (arr @ place).tolist()
-
-    states = [(np.zeros(0, dtype=np.int64),) * 2] * (max_grade + 1)
-    states[0] = (np.asarray([-lo @ place]), np.ones(1, dtype=np.int64))
-    total = 1
-    for j, d in enumerate(deltas):
-        for g in range(min(j, max_grade - 1), -1, -1):
-            (keys, counts), (k2, n2) = states[g], states[g + 1]
-            states[g + 1] = _group(np.concatenate([k2, keys + d]),
-                                   np.concatenate([n2, counts]))
-            total += len(states[g + 1][0]) - len(k2)
-            if total > DP_STATE_LIMIT:
-                raise DecompositionError(
-                    f"{spec.name}: weight DP to grade {max_grade} passed "
-                    f"DP_STATE_LIMIT = {DP_STATE_LIMIT} states")
-    for g, (_, counts) in enumerate(states):
-        if int(counts.sum()) != comb(spec.dim, g):
-            raise DecompositionError(f"{spec.name}: weight DP lost mass at grade {g}")
-    return lo, hi, states
+def _weight_tables(spec: GrassmannianSpec, top: int) -> list[dict[Weight, int]]:
+    """Weight multisets of the exterior powers of the cotangent space in
+    grades 0..top.  A 0/1 knapsack over the negated nilradical roots gives
+    every sum of p distinct roots with its count, up to p = dim // 2; a grade
+    p above is the complement of grade dim - p, w -> (sum of all) - w."""
+    half = min(top, spec.dim // 2)
+    roots = nilradical_roots(spec)
+    tables: list[dict[Weight, int]] = [{} for _ in range(half + 1)]
+    tables[0][(0,) * spec.ambient.rank] = 1
+    for j, root in enumerate(roots):
+        for g in range(min(j, half - 1), -1, -1):
+            higher = tables[g + 1]
+            for w, c in tables[g].items():
+                key = tuple(map(sub, w, root))
+                higher[key] = higher.get(key, 0) + c
+    whole = tuple(-x for x in map(sum, zip(*roots)))
+    tables += [{tuple(map(sub, whole, w)): c for w, c in tables[spec.dim - p].items()}
+               for p in range(half + 1, top + 1)]
+    return tables
 
 
 def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
@@ -261,118 +198,7 @@ def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
     all sums of p distinct negated nilradical roots."""
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
-    lo, hi, states = _exterior_tables(spec, p)
-    return WeightMultiset(p, _decode(states[p][0], lo, hi), states[p][1])
-
-
-# -- Klimyk's formula ---------------------------------------------------------------
-
-
-def _check_levi_invariant(spec: GrassmannianSpec, rows: np.ndarray,
-                          counts: np.ndarray, keys: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray, place: np.ndarray) -> None:
-    """Raise unless every Levi simple reflection maps the rows onto
-    themselves with equal counts (rows sorted by strictly increasing key).
-
-    s_i fixes the rows with mu_i = 0 and must map the rows with mu_i = v > 0
-    onto those with mu_i = -v.  On each such class s_i is the translation by
-    -v alpha_i, which keeps the key order; so with both sides sorted stably
-    by |mu_i|, every row must sit opposite its own image.
-    """
-    import numpy as np
-    alpha = spec.ambient.simple_roots
-    for i in spec.levi.nodes:
-        broken = f"{spec.name}: weight multiset is not invariant under s_{i + 1}"
-        col = rows[:, i]
-        up = np.flatnonzero(col > 0)
-        down = np.flatnonzero(col < 0)
-        if len(up) != len(down):
-            raise DecompositionError(broken)
-        up = up[np.argsort(col[up], kind="stable")]
-        down = down[np.argsort(-col[down], kind="stable")]
-        v = col[up].astype(np.int64)
-        image = keys[up]
-        for j in np.flatnonzero(alpha[i]):
-            old = rows[up, j].astype(np.int64)
-            new = old - v * alpha[i][j]
-            if len(new) and (new.min() < lo[j] or new.max() > hi[j]):
-                raise DecompositionError(broken)
-            image = image + (new - old) * place[j]
-        if (image != keys[down]).any() or (counts[up] != counts[down]).any():
-            raise DecompositionError(broken)
-
-
-def _klimyk(spec: GrassmannianSpec, keys: np.ndarray, counts: np.ndarray,
-            lo: np.ndarray, hi: np.ndarray) -> list[list[IrreducibleSummand]]:
-    """Summands, sorted descending, of each grade lo[-1]..hi[-1] of a run.
-
-    ``keys`` are strictly increasing ``_radix`` keys in the box lo..hi, whose
-    last coordinate is the grade, which the simple roots leave at 0: one
-    invariance check, reflection loop and grouping serve the whole run.
-    """
-    import numpy as np
-    levi, rank = spec.levi, spec.ambient.rank
-    if counts.min() < 0 or int(counts.max()) * len(counts) >= 2 ** 63:
-        raise DecompositionError(f"{spec.name}: counts out of range")
-    # Every reflected row is w(mu) + rho - (rho - w rho), with w(mu) a row and
-    # rho - w rho a sum of distinct positive Levi roots; products y_i alpha_i
-    # stay within |alpha| times that bound, so int16 never overflows.
-    alpha = np.pad(np.asarray(spec.ambient.simple_roots, dtype=np.int16), ((0, 0), (0, 1)))
-    reach = max(-int(lo[:rank].min()), int(hi[:rank].max())) + 1 + max(
-        sum(abs(b[j]) for b in levi.positive_roots) for j in range(rank))
-    if reach * (1 + int(np.abs(alpha).max())) > np.iinfo(np.int16).max:
-        raise DecompositionError(f"{spec.name}: weights too large for int16")
-    place = _radix(lo, hi, spec.name)
-    rows = _decode(keys, lo, hi)
-    _check_levi_invariant(spec, rows, counts, keys, lo, hi, place)
-    grades = range(int(lo[-1]), int(hi[-1]) + 1)
-    totals = [int(c.sum()) for c in np.split(
-        counts, np.searchsorted(keys, place[-1] * np.arange(1, len(grades))))]
-
-    cols = np.asarray(levi.nodes, dtype=np.intp)
-    rho = np.ones(rank + 1, dtype=np.int16)
-    rho[[levi.node - 1, rank]] = 0
-    y, c = rows + rho, counts
-    done_y, done_c = [], []
-    while True:
-        levi_part = y[:, cols]
-        negative = levi_part < 0
-        regular = (levi_part != 0).all(axis=1)
-        pending = negative.any(axis=1)
-        done = regular & ~pending
-        done_y.append(y[done])
-        done_c.append(c[done])
-        go = regular & pending
-        if not go.any():
-            break
-        y, c, levi_part = y[go], -c[go], levi_part[go]
-        first = negative[go].argmax(axis=1)
-        y -= levi_part[np.arange(len(c)), first][:, None] * alpha[cols[first]]
-    # The dominant rows span a box at most a third of the DP's on every
-    # catalog space up to rank 8, so their keys fit wherever the DP's do.
-    done = np.concatenate(done_y) - rho
-    lo, hi = done.min(axis=0).astype(np.int64), done.max(axis=0).astype(np.int64)
-    place = _radix(lo, hi, spec.name)
-    keys, mult = _group(_encode(done, lo, place), np.concatenate(done_c))
-    lam = _decode(keys, lo, hi)
-    if (mult < 0).any():
-        bad = int(mult.argmin())
-        raise DecompositionError(
-            f"{spec.name}, p={lam[bad, rank]}: negative multiplicity "
-            f"{int(mult[bad])} from Klimyk's formula")
-
-    levels: list[list[IrreducibleSummand]] = [[] for _ in grades]
-    for (*weight, p), m in zip(lam.tolist(), mult.tolist()):
-        if m:
-            levels[p - grades[0]] += [_make_summand(spec, tuple(weight), p)] * m
-    for p, summands, total in zip(grades, levels, totals):
-        size = sum(s.levi_dim for s in summands)
-        if size != total:
-            raise DecompositionError(
-                f"{spec.name}, p={p}: summands have total dimension {size}, "
-                f"the weight multiset {total}")
-        summands.sort(key=lambda s: s.highest_weight, reverse=True)
-    return levels
+    return WeightMultiset(p, _weight_tables(spec, p)[p])
 
 
 def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSummand]:
@@ -383,21 +209,28 @@ def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSum
     W_L-invariant multiset m, ``sum_mu m(mu) e^mu = sum_mu m(mu) eps(w)
     ch V_{w(mu + rho) - rho}`` over all weights mu, where w moves mu + rho
     into the dominant Levi chamber and the terms with mu + rho singular
-    vanish.  Any rho with every Levi coordinate 1 gives the same dot
-    action; this one has marked coordinate 0.  Each row is reflected in its
-    first negative Levi coordinate, its count changing sign, until it is
-    dominant; a zero Levi coordinate makes it singular and drops it.
+    vanish: one ``dot_dominant`` per weight.
 
     Raises DecompositionError unless the multiset is W_L-invariant (Klimyk's
     formula needs it), every resulting multiplicity is nonnegative, and the
     Levi dimensions add up to the multiset's size.
     """
-    import numpy as np
-    rows = ws._rows
-    lo = np.append(rows.min(axis=0), ws.grade).astype(np.int64)
-    hi = np.append(rows.max(axis=0), ws.grade).astype(np.int64)
-    keys = _encode(rows, lo, _radix(lo, hi, spec.name)[:-1])
-    return _klimyk(spec, *_group(keys, ws._counts), lo, hi)[0]
+    rs, nodes, entries = spec.ambient, spec.levi.nodes, ws._entries
+    for i in nodes:
+        # s_i fixes the weights with w_i = 0 and must map those with w_i > 0
+        # onto those with w_i < 0, count for count; an involution that maps
+        # one set into the other, as large, is onto it
+        up = [w for w in entries if w[i] > 0]
+        if (len(up) != sum(w[i] < 0 for w in entries)
+                or any(entries.get(rs.reflect(w, i)) != entries[w] for w in up)):
+            raise DecompositionError(
+                f"{spec.name}: weight multiset is not invariant under s_{i + 1}")
+    mult: dict[Weight, int] = {}
+    for w, c in entries.items():
+        top, steps = rs.dot_dominant(w, nodes)
+        if top is not None:
+            mult[top] = mult.get(top, 0) + (-c if steps % 2 else c)
+    return list(_summands(spec, ws.grade, mult, ws.total(), "the weight multiset"))
 
 
 def _dual_summand(spec: GrassmannianSpec, s: IrreducibleSummand, p_dual: int
@@ -412,6 +245,58 @@ def _dual_summand(spec: GrassmannianSpec, s: IrreducibleSummand, p_dual: int
     return out
 
 
+# -- the weight engine: Newton's identities and Brauer-Klimyk -----------------------
+
+# Reflection steps (``RootSystem.dot_dominant``) one engine pass may take,
+# each 0.6-1 us with its share of the pass on one AMD EPYC core.  To
+# floor(dim/2), E7 takes 9,870, OG:10 234,146 and IG:10 680,677 (0.4 s);
+# G:3:21 would take 1,132,785, and G:2:60 and Q:120 tens of millions.  Those
+# three are refused within about a second.
+ENGINE_STEP_LIMIT = 2 ** 20
+
+
+def _newton_grade(spec: GrassmannianSpec, levels: list, p: int, steps: int
+                  ) -> tuple[tuple[IrreducibleSummand, ...], int]:
+    """The engine summands of grade p >= 1, from ``levels``, those of the
+    grades below, and the reflection steps taken so far, which it returns
+    increased by its own.
+
+    Newton's identity p Wedge^p V = sum_{i=1..p} (-1)^(i-1) psi^i(V)
+    Wedge^(p-i) V (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.2), where the Adams operation psi^i(V) has the weights i mu of V.
+    Each product ch V_lambda psi^i(V) is Brauer-Klimyk: the sum over the
+    weights mu of V of eps(w) ch V_{w(lambda + i mu + rho) - rho}, one
+    ``dot_dominant`` each (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, sec. 24).  Every sum must divide by p.
+    """
+    rs, nodes = spec.ambient, spec.levi.nodes
+    dot = rs.dot_dominant
+    weights = [negate(r) for r in nilradical_roots(spec)]
+    acc: dict[Weight, int] = {}
+    for i in range(1, p + 1):
+        scaled = [tuple(i * x for x in mu) for mu in weights]
+        sign = 1 if i % 2 else -1
+        for s in levels[p - i]:
+            lam = s.highest_weight
+            for mu in scaled:
+                top, n = dot(tuple(map(add, lam, mu)), nodes)
+                steps += n
+                if top is not None:
+                    acc[top] = acc.get(top, 0) + (-sign if n % 2 else sign)
+            if steps > ENGINE_STEP_LIMIT:
+                raise DecompositionError(
+                    f"{spec.name}: weight engine to grade {spec.dim // 2} passed "
+                    f"ENGINE_STEP_LIMIT = {ENGINE_STEP_LIMIT} reflection steps")
+    mult = {}
+    for w, c in acc.items():
+        m, r = divmod(c, p)
+        if r:
+            raise DecompositionError(
+                f"{spec.name}, p={p}: Newton sum {c} at {w} is not divisible by {p}")
+        mult[w] = m
+    return _summands(spec, p, mult, comb(spec.dim, p), "binom(dim, p) ="), steps
+
+
 # verify --max-rank 7 runs the engine on 39 spaces, the query-mix benchmark on
 # none; the cap keeps all of verify's and bounds what a long sweep keeps.
 ENGINE_CACHE_SIZE = 64
@@ -421,30 +306,19 @@ ENGINE_CACHE_SIZE = 64
 def _engine_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ...], ...]:
     """Engine summands of every grade 0..dim of the exterior algebra.
 
-    One DP reaches grade dim // 2; runs of consecutive grades holding no more
-    rows than its largest grade go through ``_klimyk`` in the DP's box, the
-    grade one more coordinate.  Grades above dim // 2 are dual to those below.
+    Grades 1..dim // 2 come from ``_newton_grade``, each from the summands
+    of the grades below; grades above dim // 2 are dual to those below.
     """
-    import numpy as np
     half = spec.dim // 2
-    lo, hi, states = _exterior_tables(spec, half)
-    box = prod((hi - lo + 1).tolist())
-    sizes = [len(keys) for keys, _ in states]
-    levels: list = []
-    while len(levels) <= half:
-        first = last = len(levels)
-        while (last < half and sum(sizes[first:last + 2]) <= max(sizes)
-               and (last - first + 2) * box < 2 ** 63):
-            last += 1
-        keys = np.concatenate([states[g][0] + (g - first) * box
-                               for g in range(first, last + 1)])
-        counts = np.concatenate([c for _, c in states[first:last + 1]])
-        states[first:last + 1] = [None] * (last - first + 1)
-        levels += _klimyk(spec, keys, counts, np.append(lo, first), np.append(hi, last))
+    levels = [(_make_summand(spec, (0,) * spec.ambient.rank, 0),)]
+    steps = 0
+    for p in range(1, half + 1):
+        level, steps = _newton_grade(spec, levels, p, steps)
+        levels.append(level)
     for p in range(half + 1, spec.dim + 1):
-        levels.append(sorted((_dual_summand(spec, s, p) for s in levels[spec.dim - p]),
-                             key=lambda s: s.highest_weight, reverse=True))
-    return tuple(map(tuple, levels))
+        dual = (_dual_summand(spec, s, p) for s in levels[spec.dim - p])
+        levels.append(tuple(sorted(dual, key=lambda s: s.highest_weight, reverse=True)))
+    return tuple(levels)
 
 
 def _dp_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:

@@ -19,16 +19,20 @@ def cold_answers():
 
 
 @pytest.fixture
-def dp_horizons(monkeypatch):
-    """Empty the engine cache, then record per space name the grade each
-    new DP is run to."""
+def engine_horizons(monkeypatch):
+    """Empty the engine cache, then record per space name the highest grade
+    each new engine pass computes directly (a pass starts at grade 1)."""
     plethysm._engine_levels.cache_clear()
     built: dict[str, list[int]] = {}
-    real = plethysm._exterior_tables
+    real = plethysm._newton_grade
 
-    def recording(spec, max_grade):
-        built.setdefault(spec.name, []).append(max_grade)
-        return real(spec, max_grade)
+    def recording(spec, levels, p, steps):
+        passes = built.setdefault(spec.name, [])
+        if p == 1:
+            passes.append(p)
+        else:
+            passes[-1] = p
+        return real(spec, levels, p, steps)
 
-    monkeypatch.setattr(plethysm, "_exterior_tables", recording)
+    monkeypatch.setattr(plethysm, "_newton_grade", recording)
     return built

@@ -110,9 +110,9 @@ def test_criterion_01_e6_table_reproduction():
         f"C({spec.dim},{E6_TYPO_ROW}) = {rank}")
 
 
-def test_criterion_02_e7_table_reproduction(dp_horizons):
-    # start from no DP tables and no cached answers, so the horizon below is
-    # this test's own and not one left by an earlier test
+def test_criterion_02_e7_table_reproduction(engine_horizons):
+    # start from no engine levels and no cached answers, so the horizon below
+    # is this test's own and not one left by an earlier test
     _route_summands.cache_clear()
     _kostant_levels.cache_clear()
     spec = freudenthal()
@@ -125,7 +125,7 @@ def test_criterion_02_e7_table_reproduction(dp_horizons):
               for p in range(spec.dim + 1)}
     elapsed = time.monotonic() - t0
     peak = _peak_rss()
-    horizon = max(dp_horizons["E7"])
+    horizon = max(engine_horizons["E7"])
     disagree = [r.p for r in audit.rows if engine[r.p] != r.computed_weights]
     ok = (audit.ok and len(audit.rows) == 26 and elapsed <= 600
           and peak <= 4 * GIB and horizon <= 14 and not disagree)
@@ -135,7 +135,7 @@ def test_criterion_02_e7_table_reproduction(dp_horizons):
     assert elapsed <= 600 and peak <= 4 * GIB
     assert len(audit.rows) == 26
     # the engine's high grades must come from the duality shortcut, not
-    # direct DP
+    # from Newton's identities
     assert horizon <= 14, horizon
     assert not disagree, disagree
     # the interleaved-twist row surfaces as an explicit, crash-free verdict

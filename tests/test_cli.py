@@ -4,7 +4,6 @@ import itertools
 import json
 from math import comb
 
-import numpy as np
 import pytest
 
 from cominuscule import catalog, cli, foliations, partitions, plethysm, rootsys, twists
@@ -230,18 +229,19 @@ def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers)
 
 def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
                                                      cold_answers):
-    # drop one summand of grade 2 of Q:5 from the engine's Klimyk pass: the
-    # path comparison must list the (space, p) with both sums and exit 1;
-    # grade 3 of Q:5 is the engine's dual of grade 2, so it inherits the loss
-    real = plethysm._klimyk
+    # drop one summand of grade 2 of Q:5 after the engine's Newton grade has
+    # checked it: the path comparison must list the (space, p) with both
+    # sums and exit 1; grade 3 of Q:5 is the engine's dual of grade 2, so it
+    # inherits the loss
+    real = plethysm._newton_grade
 
-    def lossy(spec, keys, counts, lo, hi):
-        levels = real(spec, keys, counts, lo, hi)
-        if spec.name == "Q:5" and lo[-1] <= 2 <= hi[-1]:
-            del levels[2 - lo[-1]][0]
-        return levels
+    def lossy(spec, levels, p, steps):
+        level, steps = real(spec, levels, p, steps)
+        if spec.name == "Q:5" and p == 2:
+            level = level[1:]
+        return level, steps
 
-    monkeypatch.setattr(plethysm, "_klimyk", lossy)
+    monkeypatch.setattr(plethysm, "_newton_grade", lossy)
     code, out, _ = run(capsys, "verify", "--max-rank", "3")
     assert code == 1
     components = {c["name"]: c for c in json.loads(out)["components"]}
@@ -384,12 +384,12 @@ def test_cli_options_are_pinned():
 
 def test_engine_state_limit_is_an_internal_error(capsys, monkeypatch,
                                                  cold_answers):
-    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 1000)
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1000)
     code, out, err = run(capsys, "omega", "decompose", "--space", "E6",
                          "--p", "1", "--method", "WeightDP")
     assert code == 3 and out == ""
-    assert err == ("internal error: DecompositionError: E6: weight DP to "
-                   "grade 8 passed DP_STATE_LIMIT = 1000 states\n")
+    assert err == ("internal error: DecompositionError: E6: weight engine to "
+                   "grade 8 passed ENGINE_STEP_LIMIT = 1000 reflection steps\n")
 
 
 def test_verify_pool_builds_each_dp_table_once(cold_answers):
@@ -505,49 +505,44 @@ def test_every_leaf_command_writes_its_csv_header(capsys, argv, code, header):
     assert lines[0] == header and len(lines) > 1
 
 
-def _tamper_e6_grade_3(monkeypatch, change):
-    """Make the DP of E6 hand ``change`` the keys and counts of grade 3, the
-    middle of the Klimyk run 0..4, as arrays it may edit in place."""
-    real = plethysm._exterior_tables
+def _tamper_e6_grade_4(monkeypatch, change):
+    """Hand the summands of grade 4 of E6, two of them, to ``change`` after
+    the engine's Newton grade has checked them, and pass on its result."""
+    real = plethysm._newton_grade
 
-    def tampered(spec, max_grade):
-        lo, hi, states = real(spec, max_grade)
-        if spec.name == "E6" and max_grade >= 3:
-            keys, counts = states[3][0].copy(), states[3][1].copy()
-            states[3] = change(plethysm._decode(keys, lo, hi), keys, counts)
-        return lo, hi, states
+    def tampered(spec, levels, p, steps):
+        level, steps = real(spec, levels, p, steps)
+        if spec.name == "E6" and p == 4:
+            level = change(level)
+        return level, steps
 
-    monkeypatch.setattr(plethysm, "_exterior_tables", tampered)
-
-
-def _drop_a_row(rows, keys, counts):
-    # the last row that a Levi reflection moves (E6 is marked at node 1);
-    # its count goes to the first row, so the DP's mass check still passes
-    moved = np.flatnonzero(rows[:, 1:].any(axis=1))[-1]
-    counts[0] += counts[moved]
-    return np.delete(keys, moved), np.delete(counts, moved)
+    monkeypatch.setattr(plethysm, "_newton_grade", tampered)
 
 
-def _shift_a_count(rows, keys, counts):
-    moved = np.flatnonzero(rows[:, 1:].any(axis=1))[-1]
-    counts[moved] -= 1
-    counts[0] += 1
-    return keys, counts
+def _drop_a_row(level):
+    return level[:-1]
+
+
+def _shift_a_count(level):
+    # the last summand's multiplicity moves to the first
+    return level[:1] * 2
 
 
 @pytest.mark.parametrize("change", [_drop_a_row, _shift_a_count])
 def test_engine_pass_catches_a_defect_inside_a_run(capsys, monkeypatch,
                                                   cold_answers, change):
-    # grades 0..4 of E6 share one invariance check; a grade 3 that lost
-    # its W_L symmetry must fail it, in the library and in the CLI
-    _tamper_e6_grade_3(monkeypatch, change)
-    with pytest.raises(plethysm.DecompositionError, match="E6: .*not invariant"):
-        plethysm.omega_decompose(catalog.cayley(), 3, method="WeightDP")
+    # grade 5 of E6 is read off the grades below it; a grade 4 that lost or
+    # moved a summand must fail its Newton sums, in the library and in the
+    # CLI, whichever grade is asked
+    _tamper_e6_grade_4(monkeypatch, change)
+    with pytest.raises(plethysm.DecompositionError,
+                       match="E6, p=5: Newton sum .* is not divisible by 5"):
+        plethysm.omega_decompose(catalog.cayley(), 4, method="WeightDP")
     code, out, err = run(capsys, "omega", "decompose", "--space", "E6",
                          "--p", "3", "--method", "WeightDP")
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("internal error: DecompositionError: E6: ")
+    assert err.startswith("internal error: DecompositionError: E6, p=5: ")
 
 
 def test_a_closed_form_disagreement_is_an_internal_error(capsys, monkeypatch):
@@ -559,19 +554,22 @@ def test_a_closed_form_disagreement_is_an_internal_error(capsys, monkeypatch):
                    "form gives l=5, CauchyA gives l=4\n")
 
 
-def test_internal_failure_has_its_own_exit_code(capsys):
-    # the weights of Q:120 do not fit the engine's 64-bit key: an internal
-    # limit, not a mathematical mismatch and not a usage error
+def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch,
+                                               cold_answers):
+    # a forced engine pass on Q:120 passes the engine's step limit: an
+    # internal limit, not a mathematical mismatch and not a usage error
+    # (a lower limit makes the refusal come sooner)
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 2 ** 16)
     code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
                          "--p", "2", "--method", "WeightDP")
     assert code == 3
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("internal error: DecompositionError: Q:120: ")
+    assert err == ("internal error: DecompositionError: Q:120: weight engine to "
+                   "grade 60 passed ENGINE_STEP_LIMIT = 65536 reflection steps\n")
 
 
 def test_auto_answers_a_quadric_beyond_the_engine_key(capsys):
-    # the route auto takes on quadrics has no weight box: Q:120 p = 2 is the
+    # the route auto takes on quadrics is not the engine: Q:120 p = 2 is the
     # one summand Wedge^2 of the standard so(120) module, twisted
     code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
                          "--p", "2")

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -125,16 +126,18 @@ def test_decompose_rejects_inconsistent_multiset():
         decompose(ws, spec)
 
 
-def test_from_entries_refuses_a_weight_outside_int16():
-    # numpy would raise a bare OverflowError here, or wrap the value
-    weight = (40000, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError, match=r"weight \(40000, 0, 0, 0, 0, 0\) "
-                       "has a coordinate outside int16"):
-        WeightMultiset.from_entries(1, {(0,) * 6: 1, weight: 1})
-    with pytest.raises(ValueError, match="outside int16"):
-        WeightMultiset.from_entries(1, {(-2 ** 15 - 1,): 1})
-    edge = {(2 ** 15 - 1,): 2, (-2 ** 15,): 3}
-    assert WeightMultiset.from_entries(1, edge).entries == edge
+def test_from_entries_keeps_weights_and_counts_exact():
+    # a multiset holds Python integers: a count of 2^63 and a weight
+    # coordinate outside int16 stay exact, and no fixed width applies
+    entries = {(0,) * 6: 2 ** 63, (40000, 0, 0, 0, 0, 0): 1,
+               (-2 ** 15 - 1, 0, 0, 0, 0, 0): 3}
+    ws = WeightMultiset.from_entries(1, entries)
+    assert ws.entries == entries
+    assert ws.total() == 2 ** 63 + 4 and len(ws) == 3
+    # both the multiset and its entries are copies
+    entries[(0,) * 6] = 1
+    ws.entries[(0,) * 6] = 2
+    assert ws.entries[(0,) * 6] == 2 ** 63
 
 
 def test_cauchy_matches_dp_small():
@@ -222,6 +225,7 @@ def test_twist_lemma_rejects_marked_coordinate():
 
 @pytest.mark.parametrize("spec", [
     grassmannian(2, 6), grassmannian(3, 7), lagrangian(4), spinor(5),
+    lagrangian(8), spinor(10),
 ])
 def test_path_agreement_moderate(spec):
     for p in range(0, spec.dim + 1):
@@ -239,6 +243,17 @@ def test_rank_identity_cayley_all_grades():
         assert expected == got == comb(16, p)
 
 
+@lru_cache(maxsize=None)
+def _reference_tables(spec):
+    """The weight multisets of every grade of a space, from one knapsack."""
+    return plethysm._weight_tables(spec, spec.dim)
+
+
+def _direct(spec, p):
+    """Grade p by the per-grade reference: subset sums, then Klimyk."""
+    return tuple(decompose(WeightMultiset(p, _reference_tables(spec)[p]), spec))
+
+
 def test_duality_shortcut_matches_direct_dp():
     # grades above dim // 2 are derived by duality on every engine space;
     # recompute them directly from the weight multiset and compare (E7's
@@ -249,68 +264,33 @@ def test_duality_shortcut_matches_direct_dp():
         cases.append((spec, range(spec.dim // 2 + 1, spec.dim + 1)))
     for spec, grades in cases:
         for p in grades:
-            direct = tuple(decompose(omega_p_weights(spec, p), spec))
             via_duality = omega_decompose(spec, p, method="WeightDP")
-            assert via_duality.summands == direct, (spec.name, p)
+            assert via_duality.summands == _direct(spec, p), (spec.name, p)
 
 
 def test_engine_pass_equals_the_per_grade_path(cold_answers):
-    # the batched Klimyk runs of one engine pass against one DP and one
-    # decompose per grade, on every grade the pass computes directly
+    # the Newton grades of one engine pass against one subset sum and one
+    # Klimyk pass per grade, on every grade the pass computes directly
     specs = [s for s in iter_catalog_specs(7) if s.dim <= 27]
     assert len(specs) == 39
     for spec in specs:
         levels = plethysm._engine_levels(spec)
         for p in range(spec.dim // 2 + 1):
-            direct = tuple(decompose(omega_p_weights(spec, p), spec))
-            assert levels[p] == direct, (spec.name, p)
+            assert levels[p] == _direct(spec, p), (spec.name, p)
 
 
-def test_engine_runs_hold_no_more_rows_than_the_largest_grade(monkeypatch,
-                                                             cold_answers):
-    # each Klimyk run is a block of consecutive grades of the DP whose rows
-    # add up to at most those of its largest grade, so batching never
-    # raises the working set above what one grade needs
-    grades, runs = {}, []
-    real_dp, real_klimyk = plethysm._exterior_tables, plethysm._klimyk
-
-    def dp(spec, max_grade):
-        lo, hi, states = real_dp(spec, max_grade)
-        grades[spec.name] = [len(keys) for keys, _ in states]
-        return lo, hi, states
-
-    def klimyk(spec, keys, counts, lo, hi):
-        runs.append((spec.name, int(lo[-1]), int(hi[-1]), len(keys)))
-        return real_klimyk(spec, keys, counts, lo, hi)
-
-    monkeypatch.setattr(plethysm, "_exterior_tables", dp)
-    monkeypatch.setattr(plethysm, "_klimyk", klimyk)
-    for spec in (quadric(12), lagrangian(4), spinor(7), cayley(), freudenthal()):
-        plethysm._engine_levels(spec)
-        sizes = grades[spec.name]
-        assert len(sizes) == spec.dim // 2 + 1
-        mine = [r[1:] for r in runs if r[0] == spec.name]
-        assert [g for first, last, _ in mine for g in range(first, last + 1)] \
-            == list(range(len(sizes))), spec.name
-        for first, last, rows in mine:
-            assert rows == sum(sizes[first:last + 1]) <= max(sizes), spec.name
-    assert max(grades["E7"]) == 71307
-    assert [r[1:3] for r in runs if r[0] == "E7"] == [
-        (0, 8), (9, 9), (10, 10), (11, 11), (12, 12), (13, 13)]
-
-
-def test_engine_stops_at_half_the_dimension(dp_horizons, cold_answers):
-    # every grade of an engine space is answered from DP tables that reach
-    # grade dim // 2 and no further
+def test_engine_stops_at_half_the_dimension(engine_horizons, cold_answers):
+    # every grade of an engine space is answered from one pass of Newton
+    # grades that reaches grade dim // 2 and no further
     for spec in (quadric(5), quadric(6), lagrangian(3)):
         for p in range(spec.dim + 1):
             omega_decompose(spec, p, method="WeightDP")
-        assert dp_horizons.pop(spec.name) == [spec.dim // 2], spec.name
+        assert engine_horizons.pop(spec.name) == [spec.dim // 2], spec.name
 
 
 def test_engine_weights_match_brute_force():
     # every sum of p distinct negated nilradical roots, counted directly;
-    # grades above dim // 2 take the DP's direct path
+    # grades above dim // 2 are the complements of grades below
     specs = [s for s in iter_catalog_specs(10) if s.dim <= 10]
     assert {s.family for s in specs} >= {"grassmannian", "quadric_odd",
                                           "quadric_even", "lagrangian", "spinor"}
@@ -323,36 +303,47 @@ def test_engine_weights_match_brute_force():
             assert omega_p_weights(spec, p).entries == brute, (spec.name, p)
 
 
-def test_engine_refuses_a_weight_box_beyond_64_bits():
-    spec = grassmannian(2, 60)
-    with pytest.raises(DecompositionError, match="G:2:60: .*64-bit key"):
-        omega_decompose(spec, 2, method="WeightDP")
+def test_engine_refuses_a_large_space_past_its_step_limit(cold_answers):
+    # G:2:60 would take tens of millions of reflection steps: the pass
+    # stops at the limit with one line naming it
+    with pytest.raises(DecompositionError) as exc:
+        omega_decompose(grassmannian(2, 60), 2, method="WeightDP")
+    assert str(exc.value) == ("G:2:60: weight engine to grade 58 passed "
+                              "ENGINE_STEP_LIMIT = 1048576 reflection steps")
 
 
 def test_engine_refuses_a_dp_past_its_state_limit(monkeypatch, cold_answers):
-    # E6 holds 5855 DP states up to grade 8: one fewer allowed and the
+    # E6 takes 1190 reflection steps up to grade 8: one fewer allowed and the
     # engine refuses with one line naming the limit
     spec = cayley()
-    _, _, states = plethysm._exterior_tables(spec, spec.dim // 2)
-    assert sum(len(keys) for keys, _ in states) == 5855
-    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 5854)
+    spent = []
+    real = plethysm._newton_grade
+
+    def counting(spec, levels, p, steps):
+        level, steps = real(spec, levels, p, steps)
+        spent.append((p, steps))
+        return level, steps
+
+    monkeypatch.setattr(plethysm, "_newton_grade", counting)
+    plethysm._engine_levels(spec)
+    assert spent[-1] == (8, 1190) and len(spent) == 8
+    plethysm._engine_levels.cache_clear()
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1189)
     with pytest.raises(DecompositionError) as exc:
         omega_decompose(spec, 1, method="WeightDP")
-    assert str(exc.value) == \
-        "E6: weight DP to grade 8 passed DP_STATE_LIMIT = 5854 states"
-    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 5855)
+    assert str(exc.value) == ("E6: weight engine to grade 8 passed "
+                              "ENGINE_STEP_LIMIT = 1189 reflection steps")
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1190)
     assert omega_decompose(spec, 1, method="WeightDP").summands == \
         omega_decompose(spec, 1).summands
-    # the count is kept as the states grow: a low limit stops the DP early
-    grouped = []
-    real = plethysm._group
-    monkeypatch.setattr(plethysm, "_group", lambda *a: grouped.append(1) or real(*a))
-    plethysm._exterior_tables(spec, 8)
-    full = len(grouped)
-    monkeypatch.setattr(plethysm, "DP_STATE_LIMIT", 1000)
-    with pytest.raises(DecompositionError, match="E6: .*DP_STATE_LIMIT = 1000 "):
-        plethysm._exterior_tables(spec, 8)
-    assert len(grouped) - full < full
+    # the steps are counted as they are taken: a low limit stops the pass
+    # before its last grade
+    plethysm._engine_levels.cache_clear()
+    spent.clear()
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 500)
+    with pytest.raises(DecompositionError, match="E6: .*ENGINE_STEP_LIMIT = 500 "):
+        plethysm._engine_levels(spec)
+    assert len(spent) < 7
 
 
 @pytest.mark.parametrize("spec,top", [
@@ -362,15 +353,15 @@ def test_engine_refuses_a_dp_past_its_state_limit(monkeypatch, cold_answers):
 ])
 def test_engine_summands_reexpand_to_the_weight_multiset(spec, top):
     # Freudenthal's recursion is an independent reference for the engine:
-    # the dominant characters of the summands must add up to the dominant
-    # part of the weight multiset they were read off
+    # the dominant characters of its summands must add up to the dominant
+    # part of the weight multiset of their grade
     levi = spec.levi
     for p in range((top or (spec.dim + 1) // 2) + 1):
         summed = Counter()
         for s in omega_decompose(spec, p, method="WeightDP").summands:
             summed.update(levi.dominant_weight_multiplicities(s.highest_weight))
-        assert summed == _dominant_entries(omega_p_weights(spec, p), levi), \
-            (spec.name, p)
+        grade = WeightMultiset(p, _reference_tables(spec)[p])
+        assert summed == _dominant_entries(grade, levi), (spec.name, p)
 
 
 DUALITY_SPECS = [s for s in iter_catalog_specs(8) if s.dim <= 27]
@@ -379,14 +370,14 @@ DUALITY_SPECS = [s for s in iter_catalog_specs(8) if s.dim <= 27]
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_engine_duality_against_direct_grades(data):
-    # grade dim - p of the forced engine against a direct DP and decompose
-    # of that grade, which never goes through the engine's duality, and
+    # grade dim - p of the forced engine against the per-grade reference,
+    # which never goes through the engine's duality, and
     # against the Levi dual of grade p twisted by the canonical weight -c1 l_k
     spec = data.draw(st.sampled_from(DUALITY_SPECS))
     p = data.draw(st.integers(0, spec.dim))
     q = spec.dim - p
     engine = omega_decompose(spec, q, method="WeightDP").summands
-    assert engine == tuple(decompose(omega_p_weights(spec, q), spec))
+    assert engine == _direct(spec, q)
     k = spec.marked_node - 1
     dual = []
     for s in omega_decompose(spec, p, method="WeightDP").summands:

@@ -1,7 +1,6 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,25 +68,26 @@ def _reference_positive_roots(fam, r):
     library: Bourbaki's e-basis lists for A-D (Plates I-IV), converted by
     partial sums, and for E the nonnegative vectors of squared length 2."""
     if fam == "E":
-        cartan = np.asarray(rootsys.cartan_matrix(LieType(fam, r)))
-        grid = np.asarray(list(product(range(5), repeat=r)))
-        norm2 = np.einsum("ni,ij,nj->n", grid, cartan, grid)
-        return {tuple(c) for c in grid[norm2 == 2].tolist()}
+        cartan = rootsys.cartan_matrix(LieType(fam, r))
+        return {c for c in product(range(5), repeat=r)
+                if sum(x * sum(g * y for g, y in zip(row, c))
+                       for x, row in zip(c, cartan)) == 2}
     n = r + 1 if fam == "A" else r
-    e = np.eye(n, dtype=int)
-    vectors = [e[i] - e[j] for i, j in combinations(range(n), 2)]
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    vectors = [[x - y for x, y in zip(e[i], e[j])] for i, j in combinations(range(n), 2)]
     if fam != "A":
-        vectors += [e[i] + e[j] for i, j in combinations(range(n), 2)]
-    vectors += {"B": list(e), "C": list(2 * e)}.get(fam, [])
+        vectors += [[x + y for x, y in zip(e[i], e[j])]
+                    for i, j in combinations(range(n), 2)]
+    vectors += {"B": e, "C": [[2 * x for x in v] for v in e]}.get(fam, [])
     out = set()
     for v in vectors:
-        s = np.cumsum(v)  # alpha_k = e_k - e_{k+1} below the end of the diagram
-        c = list(s[:r])
+        s = list(accumulate(v))  # alpha_k = e_k - e_{k+1} below the end of the diagram
+        c = s[:r]
         if fam == "C":  # alpha_r = 2 e_r
             c[r - 1] = s[r - 1] // 2
         elif fam == "D":  # alpha_{r-1} = e_{r-1} - e_r, alpha_r = e_{r-1} + e_r
             c[r - 2], c[r - 1] = (s[r - 2] - v[r - 1]) // 2, s[r - 1] // 2
-        out.add(tuple(int(x) for x in c))
+        out.add(tuple(c))
     return out
 
 
@@ -98,8 +98,9 @@ def test_positive_roots_in_height_order(fam, r):
     rs = RootSystem(LieType(fam, r))
     ref = sorted(_reference_positive_roots(fam, r), key=lambda c: (sum(c), c))
     assert list(rs.positive_root_coords) == ref
-    cols = np.asarray(rs.simple_roots)
-    assert [list(w) for w in rs.positive_roots] == (np.asarray(ref) @ cols).tolist()
+    assert list(rs.positive_roots) == [
+        tuple(sum(x * a[j] for x, a in zip(c, rs.simple_roots)) for j in range(r))
+        for c in ref]
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -358,6 +359,26 @@ def test_orbit_has_unique_dominant_element(name, data):
     orbit = rs.weyl_orbit(w)
     dominants = {v for v in orbit if is_dominant(v)}
     assert dominants == {rs.dominant_representative(w)}
+
+
+@given(st.sampled_from(WEYL_GROUPS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dot_dominant_is_the_dot_action(group, data):
+    # u(w + rho) - rho is the dominant point of the orbit of w + rho, less
+    # rho; the weight is None exactly when w + rho pairs to zero with a root
+    # of the group, and otherwise the steps are the length of u, the number
+    # of positive roots on which w + rho is negative
+    rs = getattr(group, "ambient", group)
+    nodes = getattr(group, "nodes", None)
+    w = data.draw(weights(rs.rank, -6, 6))
+    y = tuple(x + 1 for x in w)
+    top, steps = rs.dot_dominant(w, nodes)
+    pairings = [rs.pairing(y, beta) for beta in group.positive_roots]
+    if 0 in pairings:
+        assert top is None
+    else:
+        assert top == tuple(x - 1 for x in rs.dominant_representative(y, nodes))
+        assert steps == sum(x < 0 for x in pairings)
 
 
 def test_weight_system_trivial():
