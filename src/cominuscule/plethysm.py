@@ -14,14 +14,17 @@ Four routes produce the same answer and are tested against each other:
 * ``_engine_levels``, the general weight engine: Newton's identities build
   each exterior power from the lower ones and the Adams powers of the
   cotangent space, and the Brauer-Klimyk rule reads off each product with
-  one dot action (``RootSystem.dot_dominant``) per pair of a summand and a
-  cotangent weight.  It reads neither the partitions nor Kostant's walk,
-  and runs only when forced (``method="WeightDP"``), as the independent
-  check of the other three.
+  one dot action per pair of a summand and a cotangent weight.  The actions
+  run on rho-shifted points (``RootSystem.shifted_dominant``): rho goes on
+  once per summand and comes off once per highest weight found.  It reads
+  neither the partitions nor Kostant's walk, and runs only when forced
+  (``method="WeightDP"``), as the independent check of the other three.
 
-The engine makes one pass per space to floor(dim/2), in Python integers,
-and refuses a pass past ``ENGINE_STEP_LIMIT`` reflection steps with one
-DecompositionError.  The upper half comes from the duality
+The engine makes one pass per space to floor(dim/2), in Python integers.
+``ENGINE_STEP_LIMIT`` bounds a pass in units of one per dot action and one
+per reflection step; a pass past it, or one whose least number of dot
+actions already passes it, is refused with one DecompositionError.  The
+upper half comes from the duality
 ``Wedge^{N-p} E = (Wedge^p E)^dual (x) det E``.  ``omega_p_weights`` and
 ``decompose`` are the per-grade reference for it: every weight of one grade
 by subset sums, then Klimyk's formula over the same dot action.
@@ -38,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
-from .rootsys import DecompositionError, Weight, negate
+from .rootsys import DecompositionError, Weight
 
 
 class RankIdentityError(DecompositionError):
@@ -83,8 +86,8 @@ class IrreducibleSummand:
     """One irreducible homogeneous factor of an exterior power.
 
     ``highest_weight`` carries the full-group coordinates including the
-    marked-node coefficient (the twist); ``twist_check`` is that coefficient
-    recomputed from the slope identity and must agree.
+    marked-node coefficient (the twist); ``twist_check`` is that coefficient,
+    which the slope identity has confirmed.
     """
 
     highest_weight: Weight
@@ -133,17 +136,22 @@ def twist_via_lemma(spec: GrassmannianSpec, levi_weight: Weight, mu_size: int) -
 
 
 def _make_summand(spec: GrassmannianSpec, weight: Weight, p: int) -> IrreducibleSummand:
+    # ``twist_via_lemma`` of the Levi part equals weight[k] exactly when
+    # row . weight = p (row . lambda), row being row k of the scaled inverse
+    # Cartan matrix: one integer dot product each side.  On a mismatch the
+    # lemma itself names the failure.
     k = spec.marked_node - 1
-    levi_part = tuple(0 if i == k else x for i, x in enumerate(weight))
-    a = twist_via_lemma(spec, levi_part, p)
-    if a != weight[k]:
+    row = spec.ambient.scaled_inverse_cartan[k]
+    if sum(map(mul, row, weight)) != p * sum(map(mul, row, spec.cotangent_weight)):
+        levi_part = tuple(0 if i == k else x for i, x in enumerate(weight))
+        a = twist_via_lemma(spec, levi_part, p)
         raise DecompositionError(
             f"{spec.name}, p={p}: twist {weight[k]} of {weight} "
             f"disagrees with slope identity value {a}")
     return IrreducibleSummand(
         highest_weight=tuple(weight),
         levi_dim=spec.levi.weyl_dim(weight),
-        twist_check=a,
+        twist_check=weight[k],
     )
 
 
@@ -241,54 +249,68 @@ def _dual_summand(spec: GrassmannianSpec, s: IrreducibleSummand, p_dual: int
     w[k] -= spec.index_c1
     out = _make_summand(spec, tuple(w), p_dual)
     if out.levi_dim != s.levi_dim:
-        raise DecompositionError("dual summand changed dimension")
+        raise DecompositionError(
+            f"{spec.name}, p={p_dual}: dual summand {out.highest_weight} of "
+            f"{s.highest_weight} changed dimension from {s.levi_dim} to "
+            f"{out.levi_dim}")
     return out
 
 
 # -- the weight engine: Newton's identities and Brauer-Klimyk -----------------------
 
-# Reflection steps (``RootSystem.dot_dominant``) one engine pass may take,
-# each 0.6-1 us with its share of the pass on one AMD EPYC core.  To
-# floor(dim/2), E7 takes 9,870, OG:10 234,146 and IG:10 680,677 (0.4 s);
-# G:3:21 would take 1,132,785, and G:2:60 and Q:120 tens of millions.  Those
-# three are refused within about a second.
+# Work units one engine pass may take: one per dot action
+# (``RootSystem.shifted_dominant``) and one per reflection step it makes, so
+# that a pass at a high rank, where an action costs a sweep over the nodes
+# even without a step, is bounded too.  A unit is 0.3-0.7 us with its share
+# of the pass on one AMD EPYC core.  To floor(dim/2), E6 takes 1,926 units,
+# E7 13,569 and IG:10 890,447 (0.3 s); G:3:21 would take 1,423,035, and
+# G:2:60 and Q:120 tens of millions.  Those three are refused within about
+# a second.  Every grade has at least one summand, so a pass to
+# h = floor(dim/2) makes at least dim h (h + 1) / 2 dot actions; a pass whose
+# bound passes the limit, as every one at rank 150 does, is refused before
+# it starts.
 ENGINE_STEP_LIMIT = 2 ** 20
+_UNITS = "units (one per dot action and per reflection step)"
 
 
 def _newton_grade(spec: GrassmannianSpec, levels: list, p: int, steps: int
                   ) -> tuple[tuple[IrreducibleSummand, ...], int]:
     """The engine summands of grade p >= 1, from ``levels``, those of the
-    grades below, and the reflection steps taken so far, which it returns
-    increased by its own.
+    grades below, and the work units spent so far (one per dot action and
+    per reflection step), which it returns increased by its own.
 
     Newton's identity p Wedge^p V = sum_{i=1..p} (-1)^(i-1) psi^i(V)
     Wedge^(p-i) V (Macdonald, Symmetric Functions and Hall Polynomials,
     I.2), where the Adams operation psi^i(V) has the weights i mu of V.
     Each product ch V_lambda psi^i(V) is Brauer-Klimyk: the sum over the
-    weights mu of V of eps(w) ch V_{w(lambda + i mu + rho) - rho}, one
-    ``dot_dominant`` each (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, sec. 24).  Every sum must divide by p.
+    weights mu of V of eps(w) ch V_{w(lambda + i mu + rho) - rho}, one dot
+    action each (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, sec. 24).  The sums are kept at the rho-shifted points
+    w(lambda + i mu + rho), and rho comes off once per distinct point.
+    Every sum must divide by p.
     """
     rs, nodes = spec.ambient, spec.levi.nodes
-    dot = rs.dot_dominant
-    weights = [negate(r) for r in nilradical_roots(spec)]
+    shifted = rs.shifted_dominant
+    roots = nilradical_roots(spec)  # V has the weights mu = -root
     acc: dict[Weight, int] = {}
     for i in range(1, p + 1):
-        scaled = [tuple(i * x for x in mu) for mu in weights]
+        scaled = [[-i * x for x in root] for root in roots]
         sign = 1 if i % 2 else -1
         for s in levels[p - i]:
-            lam = s.highest_weight
+            lam_rho = [x + 1 for x in s.highest_weight]
             for mu in scaled:
-                top, n = dot(tuple(map(add, lam, mu)), nodes)
+                top, n = shifted(list(map(add, lam_rho, mu)), nodes)
                 steps += n
                 if top is not None:
                     acc[top] = acc.get(top, 0) + (-sign if n % 2 else sign)
+            steps += len(scaled)
             if steps > ENGINE_STEP_LIMIT:
                 raise DecompositionError(
                     f"{spec.name}: weight engine to grade {spec.dim // 2} passed "
-                    f"ENGINE_STEP_LIMIT = {ENGINE_STEP_LIMIT} reflection steps")
+                    f"ENGINE_STEP_LIMIT = {ENGINE_STEP_LIMIT} {_UNITS}")
     mult = {}
-    for w, c in acc.items():
+    for y, c in acc.items():
+        w = tuple([x - 1 for x in y])
         m, r = divmod(c, p)
         if r:
             raise DecompositionError(
@@ -310,6 +332,11 @@ def _engine_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ..
     of the grades below; grades above dim // 2 are dual to those below.
     """
     half = spec.dim // 2
+    least = spec.dim * half * (half + 1) // 2
+    if least > ENGINE_STEP_LIMIT:
+        raise DecompositionError(
+            f"{spec.name}: weight engine to grade {half} needs at least {least} "
+            f"dot actions, past ENGINE_STEP_LIMIT = {ENGINE_STEP_LIMIT} {_UNITS}")
     levels = [(_make_summand(spec, (0,) * spec.ambient.rank, 0),)]
     steps = 0
     for p in range(1, half + 1):

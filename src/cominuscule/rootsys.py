@@ -26,6 +26,10 @@ inverse Cartan matrix without elimination:
 exactly on construction.  Everything is pure Python integers, which cannot
 overflow.
 
+The dot action w -> u(w + rho) - rho is one reflection loop on the
+rho-shifted point y = w + rho, ``RootSystem.shifted_dominant``, which
+``dot_dominant`` wraps.
+
 The invariant form is normalized so that long roots have squared length 2.
 Published tables sometimes use a different global scale (e.g. the type-C
 pairing values ``<l_j, l_n> = j`` correspond to twice our values); every
@@ -162,9 +166,11 @@ def _chain_product(chain, v) -> int:
 def _weyl_dim(chain, den: int, v: list[int], scale: int = 1) -> int:
     """scale * prod 2<w + rho, beta> / den over the roots of a parent table,
     from the chain values v of w; den is prod 2<rho, beta>."""
-    q, r = divmod(scale * _chain_product(chain, v), den)
+    num = scale * _chain_product(chain, v)
+    q, r = divmod(num, den)
     if r:
-        raise DecompositionError("Weyl dimension did not come out integral")
+        raise DecompositionError(
+            f"Weyl dimension {num}/{den} did not come out integral")
     return q
 
 
@@ -353,20 +359,27 @@ class RootSystem:
         """The dot action into the dominant chamber of the Weyl group
         generated by the reflections in ``nodes``: u(w + rho) - rho, with u
         the element that makes w + rho nonnegative on those nodes, and the
-        number of reflections made.
-
-        Each step reflects y = w + rho in its first node where y is
-        negative.  A zero on a node means a reflection fixes y: w + rho is
-        singular, as is every point of its orbit, and the weight returned
-        is None.  For a regular w each step shortens u by one, so the steps
-        number the length of u, and (-1)^length is its sign (Humphreys,
-        Introduction to Lie Algebras and Representation Theory, 10.3).  rho
-        has every coordinate 1; on a Levi subsystem any rho with every Levi
-        coordinate 1 gives the same dot action.
-        """
+        number of reflections made (``shifted_dominant`` on y = w + rho)."""
         nodes = self._all_nodes if nodes is None else nodes
+        top, steps = self.shifted_dominant([x + 1 for x in w], nodes)
+        return (None if top is None else tuple([x - 1 for x in top])), steps
+
+    def shifted_dominant(self, y: list[int], nodes) -> tuple[Weight | None, int]:
+        """The rho-shifted dot action: reflects the list y = w + rho in
+        place into the chamber of ``nodes`` and returns ``(u y, steps)``, the
+        point None when y is singular.
+
+        Each step reflects y in its first node where y is negative.  A zero
+        on a node means a reflection fixes y: y is singular, as is every
+        point of its orbit.  For a regular y each step shortens u by one, so
+        the steps number the length of u, and (-1)^length is its sign
+        (Humphreys, Introduction to Lie Algebras and Representation Theory,
+        10.3).  rho has every coordinate 1; on a Levi subsystem any rho with
+        every Levi coordinate 1 gives the same dot action.  A caller that
+        works on rho-shifted points throughout, as the weight engine does,
+        shifts once per point instead of once per action.
+        """
         supports = self._supports
-        y = [x + 1 for x in w]
         steps = 0
         while True:
             for i in nodes:
@@ -374,7 +387,7 @@ class RootSystem:
                 if c <= 0:
                     break
             else:
-                return tuple([x - 1 for x in y]), steps
+                return tuple(y), steps
             if not c:
                 return None, steps
             for j, a in supports[i]:

@@ -389,7 +389,8 @@ def test_engine_state_limit_is_an_internal_error(capsys, monkeypatch,
                          "--p", "1", "--method", "WeightDP")
     assert code == 3 and out == ""
     assert err == ("internal error: DecompositionError: E6: weight engine to "
-                   "grade 8 passed ENGINE_STEP_LIMIT = 1000 reflection steps\n")
+                   "grade 8 passed ENGINE_STEP_LIMIT = 1000 units (one per dot "
+                   "action and per reflection step)\n")
 
 
 def test_verify_pool_builds_each_dp_table_once(cold_answers):
@@ -558,14 +559,17 @@ def test_internal_failure_has_its_own_exit_code(capsys, monkeypatch,
                                                cold_answers):
     # a forced engine pass on Q:120 passes the engine's step limit: an
     # internal limit, not a mathematical mismatch and not a usage error
-    # (a lower limit makes the refusal come sooner)
+    # (under a lower limit the least work of the pass, 120 * 60 * 61 / 2 dot
+    # actions, passes it before the pass starts)
     monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 2 ** 16)
     code, out, err = run(capsys, "omega", "decompose", "--space", "Q:120",
                          "--p", "2", "--method", "WeightDP")
     assert code == 3
     assert out == ""
     assert err == ("internal error: DecompositionError: Q:120: weight engine to "
-                   "grade 60 passed ENGINE_STEP_LIMIT = 65536 reflection steps\n")
+                   "grade 60 needs at least 219600 dot actions, past "
+                   "ENGINE_STEP_LIMIT = 65536 units (one per dot action and per "
+                   "reflection step)\n")
 
 
 def test_auto_answers_a_quadric_beyond_the_engine_key(capsys):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -28,7 +29,7 @@ from cominuscule.plethysm import (
     omega_p_weights,
     twist_via_lemma,
 )
-from cominuscule.rootsys import LeviSubsystem, negate
+from cominuscule.rootsys import LeviSubsystem, RootSystem, negate
 
 
 def test_omega_weights_grade_zero_and_top():
@@ -223,6 +224,40 @@ def test_twist_lemma_rejects_marked_coordinate():
         twist_via_lemma(cayley(), (-1, 0, 0, 0, 0, 0), 1)
 
 
+@pytest.mark.parametrize("weight, message", [
+    # the marked coordinate of the summand (3, -4, 0, 0) of grade 3, off by one
+    ((3, -3, 0, 0), "G:2:5, p=3: twist -3 of (3, -3, 0, 0) disagrees with "
+                    "slope identity value -4"),
+    # a Levi coordinate off by one: row 2 of the scaled inverse Cartan
+    # matrix is (6, 12, 8, 4), so the numerator moves by 6, not a multiple
+    # of 12
+    ((4, -4, 0, 0), "G:2:5: twist coefficient -54/12 is not an integer"),
+])
+def test_make_summand_refuses_a_weight_off_the_slope_identity(weight, message):
+    with pytest.raises(DecompositionError) as exc:
+        plethysm._make_summand(grassmannian(2, 5), weight, 3)
+    assert str(exc.value) == message
+
+
+def test_the_slope_dot_product_agrees_with_the_lemma_up_to_rank_7(cold_answers):
+    # on every summand of every route of every catalog space up to rank 7,
+    # the summand's one-dot-product check accepted what the lemma computes,
+    # and it refuses, as the lemma does, the marked coordinate moved by one
+    for spec in iter_catalog_specs(7):
+        k = spec.marked_node - 1
+        routes = {plethysm._AUTO_ROUTES[spec.family], "Kostant", "WeightDP"}
+        for p in range(spec.dim + 1):
+            weights = {s.highest_weight: s.twist_check
+                       for route in routes
+                       for s in plethysm._route_summands(spec, p, route)}
+            for w, twist in weights.items():
+                levi_part = tuple(0 if i == k else x for i, x in enumerate(w))
+                assert twist_via_lemma(spec, levi_part, p) == twist == w[k]
+                moved = (*w[:k], w[k] + 1, *w[k + 1:])
+                with pytest.raises(DecompositionError, match="disagrees"):
+                    plethysm._make_summand(spec, moved, p)
+
+
 @pytest.mark.parametrize("spec", [
     grassmannian(2, 6), grassmannian(3, 7), lagrangian(4), spinor(5),
     lagrangian(8), spinor(10),
@@ -309,12 +344,26 @@ def test_engine_refuses_a_large_space_past_its_step_limit(cold_answers):
     with pytest.raises(DecompositionError) as exc:
         omega_decompose(grassmannian(2, 60), 2, method="WeightDP")
     assert str(exc.value) == ("G:2:60: weight engine to grade 58 passed "
-                              "ENGINE_STEP_LIMIT = 1048576 reflection steps")
+                              "ENGINE_STEP_LIMIT = 1048576 units (one per dot "
+                              "action and per reflection step)")
+
+
+def test_engine_refuses_a_pass_at_rank_150_before_it_starts(engine_horizons):
+    # grades 1..2812 of G:75:150 need at least 5625 * 2812 * 2813 / 2 dot
+    # actions, one per summand of a lower grade and cotangent weight
+    with pytest.raises(DecompositionError) as exc:
+        omega_decompose(grassmannian(75, 150), 1, method="WeightDP")
+    assert str(exc.value) == (
+        "G:75:150: weight engine to grade 2812 needs at least 22247313750 dot "
+        "actions, past ENGINE_STEP_LIMIT = 1048576 units (one per dot action "
+        "and per reflection step)")
+    assert engine_horizons == {}
 
 
 def test_engine_refuses_a_dp_past_its_state_limit(monkeypatch, cold_answers):
-    # E6 takes 1190 reflection steps up to grade 8: one fewer allowed and the
-    # engine refuses with one line naming the limit
+    # E6 takes 1926 units up to grade 8, 736 dot actions and 1190 reflection
+    # steps: one fewer allowed and the engine refuses with one line naming
+    # the limit and its unit
     spec = cayley()
     spent = []
     real = plethysm._newton_grade
@@ -326,24 +375,86 @@ def test_engine_refuses_a_dp_past_its_state_limit(monkeypatch, cold_answers):
 
     monkeypatch.setattr(plethysm, "_newton_grade", counting)
     plethysm._engine_levels(spec)
-    assert spent[-1] == (8, 1190) and len(spent) == 8
+    assert spent[-1] == (8, 1926) and len(spent) == 8
     plethysm._engine_levels.cache_clear()
-    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1189)
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1925)
     with pytest.raises(DecompositionError) as exc:
         omega_decompose(spec, 1, method="WeightDP")
     assert str(exc.value) == ("E6: weight engine to grade 8 passed "
-                              "ENGINE_STEP_LIMIT = 1189 reflection steps")
-    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1190)
+                              "ENGINE_STEP_LIMIT = 1925 units (one per dot "
+                              "action and per reflection step)")
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1926)
     assert omega_decompose(spec, 1, method="WeightDP").summands == \
         omega_decompose(spec, 1).summands
-    # the steps are counted as they are taken: a low limit stops the pass
+    # the units are counted as they are spent: a low limit stops the pass
     # before its last grade
     plethysm._engine_levels.cache_clear()
     spent.clear()
-    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 500)
-    with pytest.raises(DecompositionError, match="E6: .*ENGINE_STEP_LIMIT = 500 "):
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 1000)
+    with pytest.raises(DecompositionError, match="E6: .*ENGINE_STEP_LIMIT = 1000 "):
         plethysm._engine_levels(spec)
     assert len(spent) < 7
+    # every grade has a summand, so grades 1..8 take at least
+    # 16 * (1 + ... + 8) = 576 dot actions: a limit below that refuses the
+    # pass before its first grade
+    spent.clear()
+    monkeypatch.setattr(plethysm, "ENGINE_STEP_LIMIT", 575)
+    with pytest.raises(DecompositionError) as exc:
+        plethysm._engine_levels(spec)
+    assert str(exc.value) == ("E6: weight engine to grade 8 needs at least 576 "
+                              "dot actions, past ENGINE_STEP_LIMIT = 575 units "
+                              "(one per dot action and per reflection step)")
+    assert spent == []
+
+
+def test_engine_work_on_the_verify_spaces(monkeypatch, cold_answers):
+    # the engine passes verify --max-rank 7 forces, on its 39 spaces of
+    # dim <= 27, make 15,814 dot actions and 25,091 reflection steps: 40,905
+    # units of the step limit.  A change that makes each action cheaper
+    # keeps these; one that makes the engine do more work fails here
+    specs = [s for s in iter_catalog_specs(7) if s.dim <= 27]
+    assert len(specs) == 39
+    work = [0, 0]
+    real = RootSystem.shifted_dominant
+
+    def counting(self, y, nodes):
+        top, steps = real(self, y, nodes)
+        work[0] += 1
+        work[1] += steps
+        return top, steps
+
+    monkeypatch.setattr(RootSystem, "shifted_dominant", counting)
+    units = {}
+    real_grade = plethysm._newton_grade
+
+    def last_units(spec, levels, p, steps):
+        level, units[spec.name] = real_grade(spec, levels, p, steps)
+        return level, units[spec.name]
+
+    monkeypatch.setattr(plethysm, "_newton_grade", last_units)
+    for spec in specs:
+        plethysm._engine_levels(spec)
+    assert work == [15814, 25091]
+    assert sum(units.values()) == 40905
+
+
+def test_a_dual_summand_that_changes_dimension_names_both(monkeypatch,
+                                                          cold_answers):
+    # a Levi dimension inflated above half the dimension of Q:5 breaks the
+    # duality with grade 2, whose summand is named with both dimensions
+    real = plethysm._make_summand
+
+    def inflated(spec, weight, p):
+        s = real(spec, weight, p)
+        if p > spec.dim // 2:
+            s = replace(s, levi_dim=s.levi_dim + 1)
+        return s
+
+    monkeypatch.setattr(plethysm, "_make_summand", inflated)
+    with pytest.raises(DecompositionError) as exc:
+        omega_decompose(quadric(5), 3, method="WeightDP")
+    assert str(exc.value) == ("Q:5, p=3: dual summand (-4, 0, 2) of (-3, 0, 2) "
+                              "changed dimension from 10 to 11")
 
 
 @pytest.mark.parametrize("spec,top", [

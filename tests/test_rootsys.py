@@ -379,6 +379,20 @@ def test_dot_dominant_is_the_dot_action(group, data):
     else:
         assert top == tuple(x - 1 for x in rs.dominant_representative(y, nodes))
         assert steps == sum(x < 0 for x in pairings)
+    # the shifted core reflects y in place, to the point of the same walk
+    shifted = list(y)
+    point, n = rs.shifted_dominant(
+        shifted, tuple(range(rs.rank)) if nodes is None else nodes)
+    assert n == steps
+    assert point == (None if top is None else tuple(shifted))
+    assert top is None or point == tuple(x + 1 for x in top)
+
+
+def test_a_weyl_dimension_that_is_not_integral_names_its_fraction():
+    # one root of height 1 over node 0: the value 3 over a denominator 2
+    with pytest.raises(DecompositionError) as exc:
+        rootsys._weyl_dim(((-1, 0),), 2, [3])
+    assert str(exc.value) == "Weyl dimension 3/2 did not come out integral"
 
 
 def test_weight_system_trivial():
