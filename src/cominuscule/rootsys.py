@@ -316,8 +316,7 @@ class RootSystem:
         symmetric and bilinear.
         """
         for w in (a, b):
-            if len(w) != self.rank:
-                raise self.length_error(w)
+            self.check_length(w)
         return Fraction(self._pair_scaled(a, b), 4 * self.dual_coxeter)
 
     def _pair_scaled(self, a: Weight, b: Weight) -> int:
@@ -396,6 +395,7 @@ class RootSystem:
 
     def weyl_orbit(self, w: Weight, nodes=None) -> set[Weight]:
         """Closure of {w} under the (possibly parabolic) simple reflections."""
+        self.check_length(w)
         nodes = self._all_nodes if nodes is None else nodes
         seen = {tuple(w)}
         frontier = [tuple(w)]
@@ -410,39 +410,19 @@ class RootSystem:
             frontier = nxt
         return seen
 
-    # -- cone membership ---------------------------------------------------------
-
-    def root_cone_level(self, diff: Weight, nodes=None) -> int | None:
-        """Total height of diff as a nonnegative integer combination of the
-        simple roots indexed by ``nodes``; None if diff is not in that cone."""
-        nodes = self._all_nodes if nodes is None else nodes
-        allowed = set(nodes)
-        den = 2 * self.dual_coxeter
-        level = 0
-        for i, row in enumerate(self.scaled_inverse_cartan):
-            num = sum(x * y for x, y in zip(row, diff))
-            if i not in allowed:
-                if num != 0:
-                    return None
-                continue
-            if num < 0 or num % den:
-                return None
-            level += num // den
-        return level
-
     # -- dimensions and characters ----------------------------------------------
 
-    def length_error(self, w: Weight) -> ValueError:
-        """The one error for a weight whose length is not the rank."""
-        return ValueError(f"weight {tuple(w)} has length {len(w)}; "
-                          f"{self.lie_type} weights have length {self.rank}")
+    def check_length(self, w: Weight) -> None:
+        """Refuse, with the one error, a weight whose length is not the rank."""
+        if len(w) != self.rank:
+            raise ValueError(f"weight {tuple(w)} has length {len(w)}; "
+                             f"{self.lie_type} weights have length {self.rank}")
 
     def _chain_values(self, w: Weight) -> list[int]:
         """v_i = |alpha_i|^2 (w_i + 1), so 2<w + rho, beta> = sum_i c_i(beta) v_i
         (rho has every coordinate 1).  v_i > 0 exactly when w_i >= 0, so the
         values decide dominance too."""
-        if len(w) != self.rank:
-            raise self.length_error(w)
+        self.check_length(w)
         return [n * (x + 1) for n, x in zip(self.simple_root_norms, w)]
 
     def weyl_dim(self, w: Weight) -> int:
@@ -458,6 +438,7 @@ class RootSystem:
 
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the dominant weights of V_w."""
+        self.check_length(w)
         if not is_dominant(w):
             raise ValueError(f"weight {w} is not dominant")
         return self._freudenthal(w, self._all_nodes, self.positive_roots,
@@ -481,27 +462,27 @@ class RootSystem:
         pairing in the recursion only sees the subsystem component, and rho
         may have every coordinate 1.  ``coords`` holds the simple-root
         coordinates of ``pos_roots``.
+
+        The candidates are the dominant weights of V_highest: the weights
+        highest - sum c_i alpha_i, every c_i >= 0 over the subsystem's simple
+        roots, that are nonnegative on ``nodes`` (Humphreys, Introduction to
+        Lie Algebras and Representation Theory, 21.3).  The recursion takes
+        them in order of level, sum c_i.
         """
         highest = tuple(highest)
-        # Candidate set: all chamber-dominant weights below the highest weight
-        # in the subsystem root cone.  Closure under "step by one positive
-        # root, then dominantize" in both directions is exhaustive.
+        # Each candidate is reached from highest by subtracting one positive
+        # root at a time, every step dominant (Stembridge, The partial order
+        # of dominant weights, Adv. Math. 136 (1998)), so a walk that only
+        # goes down finds them all; a step adds the root's height to the level.
+        heights = [sum(c) for c in coords]
         cands = {highest: 0}
-        frontier = [highest]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for alpha in pos_roots:
-                    for nu0 in (_sub(mu, alpha), _add(mu, alpha)):
-                        nu = self.dominant_representative(nu0, nodes)
-                        if nu in cands:
-                            continue
-                        lev = self.root_cone_level(_sub(highest, nu), nodes)
-                        if lev is None:
-                            continue
-                        cands[nu] = lev
-                        nxt.append(nu)
-            frontier = nxt
+        walk = [highest]
+        for mu in walk:  # grows as the walk goes
+            for alpha, height in zip(pos_roots, heights):
+                nu = _sub(mu, alpha)
+                if nu not in cands and all(nu[i] >= 0 for i in nodes):
+                    cands[nu] = cands[mu] + height
+                    walk.append(nu)
 
         # rows 2(l_i, alpha) = c_i(alpha) |alpha_i|^2
         pairs = [[x * n for x, n in zip(c, self.simple_root_norms)] for c in coords]
@@ -622,6 +603,7 @@ class LeviSubsystem:
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the Levi-dominant weights of the
         Levi module V_w (full ambient coordinates)."""
+        self.ambient.check_length(w)
         if not self.is_dominant(w):
             raise ValueError(f"weight {w} is not Levi-dominant")
         return self.ambient._freudenthal(w, self.nodes, self.positive_roots,
@@ -646,7 +628,10 @@ def root_system(family: str, rank: int | None = None) -> RootSystem:
     The rank is checked against ``MAX_AMBIENT_RANK`` before the cache is
     read."""
     if rank is None:
-        family, rank = family[0], family[1:]
+        family, rank = family[:1], family[1:]
+        if not (family.isalpha() and rank.isdecimal()):
+            raise ValueError(f"bad root system label {family + rank!r}: expected "
+                             "a family letter and a rank, such as A4 or E6")
     rank = int(rank)
     _check_rank(rank)
     return _root_system(family, rank)

@@ -64,8 +64,7 @@ def h0_dim(spec: GrassmannianSpec, summand, l: int) -> int:
     else:
         weight, levi_dim = tuple(summand), None
     ambient = spec.ambient
-    if len(weight) != ambient.rank:
-        raise ambient.length_error(weight)
+    ambient.check_length(weight)
     k = spec.marked_node - 1
     marked = weight[k] + l
     if marked < 0:

@@ -51,11 +51,22 @@ def test_a_space_above_the_grammar_limit_is_a_usage_error(capsys):
     assert rootsys._root_system.cache_info() == roots
 
 
-def test_a_root_system_above_the_limit_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "rootsys", "dump", "--type", "A200")
+def _bad_label(label):
+    return (f"error: bad root system label {label!r}: expected a family "
+            "letter and a rank, such as A4 or E6\n")
+
+
+@pytest.mark.parametrize("label,message", [
+    ("A200", "error: ambient rank 200 is above the limit "
+             "MAX_AMBIENT_RANK = 150\n"),
+    *((label, _bad_label(label)) for label in ("", "A", "E", "A3x")),
+], ids=["A200", "empty", "A", "E", "A3x"])
+def test_a_root_system_above_the_limit_is_a_usage_error(capsys, label, message):
+    # a label past the rank cap, or with no family letter or no integer
+    # rank, is one usage line, never an internal error
+    code, out, err = run(capsys, "rootsys", "dump", "--type", label)
     assert code == 2 and out == ""
-    assert err == ("error: ambient rank 200 is above the limit "
-                   "MAX_AMBIENT_RANK = 150\n")
+    assert err == message
 
 
 def test_omega_decompose_schema(capsys):

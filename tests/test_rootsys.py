@@ -506,3 +506,41 @@ def test_freudenthal_refuses_a_weight_that_is_not_dominant():
     with pytest.raises(ValueError,
                        match=r"^weight \(0, 2, -1\) is not Levi-dominant$"):
         levi.dominant_weight_multiplicities((0, 2, -1))
+
+
+_A3 = root_system("A3")
+_A3_LEVI = LeviSubsystem(_A3, 2)
+
+
+@pytest.mark.parametrize("entry", [
+    _A3.dominant_weight_multiplicities, _A3_LEVI.dominant_weight_multiplicities,
+    _A3.weight_system, _A3.weyl_orbit],
+    ids=["dominant_weight_multiplicities", "levi_dominant_weight_multiplicities",
+         "weight_system", "weyl_orbit"])
+@pytest.mark.parametrize("w", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_weight_entry_points_refuse_a_wrong_length(entry, w):
+    message = f"weight {w} has length {len(w)}; A3 weights have length 3"
+    with pytest.raises(ValueError) as exc:
+        entry(w)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "C2", "C3", "C4", "D4"])
+def test_freudenthal_candidates_are_the_dominant_weights_below(name):
+    # reference without a walk: every nu = lam - sum c_i alpha_i with c_i
+    # at most lam's simple-root coordinate, kept when dominant
+    rs = root_system(name)
+    two_h = 2 * rs.dual_coxeter
+    for lam in product(range(4), repeat=rs.rank):
+        if sum(lam) > 3:
+            continue
+        top = [sum(g * x for g, x in zip(row, lam)) // two_h
+               for row in rs.scaled_inverse_cartan]
+        expected = set()
+        for c in product(*(range(t + 1) for t in top)):
+            nu = tuple(x - sum(ci * a[j] for ci, a in zip(c, rs.simple_roots))
+                       for j, x in enumerate(lam))
+            if is_dominant(nu):
+                expected.add(nu)
+        assert set(rs.dominant_weight_multiplicities(lam)) == expected, lam

@@ -12,7 +12,8 @@ from pathlib import Path
 import cominuscule
 
 SRC = Path(cominuscule.__file__).parent
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_no_assert_statements_in_library():
@@ -154,3 +155,37 @@ def test_the_benchmark_tracer_finds_what_it_wraps():
     cli = importlib.import_module("cominuscule.cli")
     assert isinstance(cli.ThreadPoolExecutor, type)
     assert "jobs" in inspect.signature(cli.run_verify).parameters
+
+
+def _named(node):
+    """The name a node refers to: a name, an attribute, an imported name,
+    or a string constant (``bench/tracing.py`` wraps methods by name)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_every_library_function_has_a_reference():
+    # a function or method defined in the library that nothing in src/,
+    # tests/, demos/ or bench/ names is dead code; a self-call does not count
+    # and dunder methods are called implicitly
+    defs, refs = [], {}
+    for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "bench"):
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                name = _named(node)
+                if name is not None:
+                    refs[name] = refs.get(name, 0) + 1
+                if (folder == SRC and isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    own = sum(_named(n) == node.name for n in ast.walk(node))
+                    defs.append((node.name, own, f"{path.name}:{node.lineno}"))
+    found = [where for name, own, where in defs if refs.get(name, 0) <= own]
+    assert not found, found
