@@ -106,8 +106,9 @@ def symplectic_family(n: int, a: int) -> FoliationFamilyReport:
         raise ValueError(f"need 1 <= a <= n-1, got a={a}, n={n}")
     p = a * (a + 1) // 2
     l = a + 1
-    if l != min_twist_lagr(p):
-        raise DecompositionError("symplectic family twist must be minimal")
+    if l != (least := min_twist_lagr(p)):
+        raise DecompositionError(f"symplectic family twist l={l} at a={a}, p={p} "
+                                 f"must be minimal, the closed form gives {least}")
     dim = n * (n + 1) // 2
     return FoliationFamilyReport(
         space=f"IG:{n}",
@@ -130,8 +131,9 @@ def orthogonal_family(n: int, a: int) -> FoliationFamilyReport:
         raise ValueError(f"need 1 <= a <= n-2, got a={a}, n={n}")
     p = a * (a + 1) // 2
     l = 2 * a
-    if l != min_twist_spinor(p):
-        raise DecompositionError("orthogonal family twist must be minimal")
+    if l != (least := min_twist_spinor(p)):
+        raise DecompositionError(f"orthogonal family twist l={l} at a={a}, p={p} "
+                                 f"must be minimal, the closed form gives {least}")
     dim = n * (n - 1) // 2
     return FoliationFamilyReport(
         space=f"OG:{n}",

@@ -197,7 +197,7 @@ def _spinor_parameters(p: int) -> tuple[int, int]:
     a = _ceil_sqrt(8 * p) // 2
     b2 = a * (a + 1) - 2 * p
     if b2 < 0 or b2 % 2:
-        raise DecompositionError("parametrization 2p = a(a+1) - 2b failed")
+        raise DecompositionError(f"2p = a(a+1) - 2b failed at p={p}, a={a}, 2b={b2}")
     b = b2 // 2
     if not 0 <= b < max(a, 1):
         raise DecompositionError(f"b={b} out of range for a={a}")

@@ -369,44 +369,35 @@ def _kostant_levels(spec: GrassmannianSpec) -> tuple[tuple[Weight, ...], ...]:
     is its Lie algebra cohomology H^p, which is multiplicity-free with one
     summand of highest weight w rho - rho for each w of length p minimal in
     its coset W_L w (Kostant, Lie algebra cohomology and the generalized
-    Borel-Weil theorem, Ann. of Math. 74, 1961).  Those w are
-    exactly the ones with w rho strictly Levi-dominant, and dropping the
-    last letter of a reduced word keeps w minimal, so the representatives
-    grow level by level by right multiplication.  Each w is carried as w rho
-    and the images w alpha_j, both in fundamental coordinates, with the
-    heights of the w alpha_j: w s_i is longer exactly when w alpha_i has
-    positive height, then w s_i rho = w rho - w alpha_i.  Since s_i permutes
-    the positive roots other than alpha_i, w s_i stays minimal unless
-    w alpha_i is a simple Levi root alpha_j, when the step takes coordinate
-    j of the point from 1 to -1; each kept point is checked strictly
-    Levi-dominant, and kept once.  Its images are (w s_i) alpha_j = w alpha_j - <alpha_j, alpha_i^vee>
-    w alpha_i, so only the images of i and its neighbours in the diagram
-    change.
+    Borel-Weil theorem, Ann. of Math. 74, 1961).  Those w are exactly the
+    ones with x = w rho strictly Levi-dominant, and dropping the last letter
+    of a reduced word keeps w minimal.  As <x, beta^vee> =
+    <rho, (w^-1 beta)^vee>, the positive roots beta = w alpha_i, for which
+    w s_i is longer and w s_i rho = x - beta, are those with <x, beta^vee>
+    = 1.  Such a Levi root is simple, x being strictly Levi-dominant, and
+    gives w s_i = s_j w, not minimal; a radical one leaves s_i w^-1 positive
+    on the Levi simple roots.  So the next level is every x - beta over the
+    radical roots with 2(x, beta) = (beta, beta), one pass down their tree.
     """
-    ambient, levi = spec.ambient, spec.levi.nodes
-    walls = {ambient.simple_roots[j] for j in levi}
-    touch = [[(j, g) for j, g in enumerate(row) if g] for row in ambient.cartan]
-    level = {(1,) * ambient.rank: ([1] * ambient.rank, list(ambient.simple_roots))}
+    levi = spec.levi
+    norms = spec.ambient.simple_root_norms
+    squares = [sum(c * n * b for c, n, b in zip(cs, norms, root))  # 2(beta, beta)
+               for root, cs in zip(levi.radical_roots, levi.radical_root_coords)]
+    level = {(1,) * spec.ambient.rank}
     levels = []
     for _ in range(spec.dim + 1):
         levels.append(tuple(sorted(level, reverse=True)))
-        nxt: dict = {}
-        for point, (heights, images) in level.items():
-            for i, h in enumerate(heights):
-                root = images[i]
-                if h <= 0 or h == 1 and root in walls:
+        nxt: set[Weight] = set()
+        for point in level:
+            pairs = levi.radical_pairings(point)  # 2(x, beta)
+            for root, pair, square in zip(levi.radical_roots, pairs, squares):
+                if 2 * pair != square:
                     continue
-                new = tuple(x - y for x, y in zip(point, root))
-                if new in nxt:
-                    continue
-                if not all(new[j] > 0 for j in levi):
+                new = tuple(map(sub, point, root))
+                if new not in nxt and not all(new[j] > 0 for j in levi.nodes):
                     raise DecompositionError(
                         f"{spec.name}: coset point {new} is not strictly Levi-dominant")
-                hs, ims = heights[:], images[:]
-                for j, g in touch[i]:
-                    hs[j] -= g * h
-                    ims[j] = tuple(x - g * y for x, y in zip(images[j], root))
-                nxt[new] = (hs, ims)
+                nxt.add(new)
         level = nxt
     if level:
         raise DecompositionError(

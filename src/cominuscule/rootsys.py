@@ -14,21 +14,21 @@ all positive roots, a tree over the simple roots, and the two halves of the
 split at a marked node k: the Levi roots (c_k = 0), a tree over the other
 simple roots, and the radical's (c_k >= 1), a tree over alpha_k.  Since
 (l_i, beta) = c_i(beta) |alpha_i|^2 / 2, any linear function of beta, such
-as 2<w + rho, beta> = sum_i c_i(beta) |alpha_i|^2 (w_i + 1), is its
-parent's value plus one term: a Weyl dimension is one pass down a tree and
-one product, and an ambient Weyl dimension is a Levi dimension times the
-radical's factors.  The Casimir identity
+as 2(w, beta) = sum_i c_i(beta) |alpha_i|^2 w_i, is its parent's value plus
+one term, so one loop, ``_tree_sums``, pairs a weight with every root of a
+set in one pass down its tree.  That pass serves every caller: a Weyl
+dimension is its product at w + rho (an ambient one a Levi dimension times
+the radical's factors), Freudenthal pairs each weight with the roots of its
+subsystem, and Kostant's walk each coset point with the radical roots
+(``LeviSubsystem.radical_pairings``).  The Casimir identity
 ``sum_{beta > 0} (lambda, beta) beta = h^vee lambda`` (Bourbaki, Lie Groups
 and Lie Algebras, VI.1.12; h^vee the dual Coxeter number) gives the
 inverse Cartan matrix without elimination:
 ``2 h^vee C^{-1} = G diag(|alpha_i|^2)`` with G the Gram matrix
 ``sum_beta c(beta) c(beta)^T``, read off the ambient tree and checked
-exactly on construction.  Everything is pure Python integers, which cannot
-overflow.
-
-The dot action w -> u(w + rho) - rho is one reflection loop on the
-rho-shifted point y = w + rho, ``RootSystem.shifted_dominant``, which
-``dot_dominant`` wraps.
+exactly on construction.  The dot action w -> u(w + rho) - rho is one
+reflection loop on y = w + rho, ``RootSystem.shifted_dominant``.
+Everything is pure Python integers, which cannot overflow.
 
 The invariant form is normalized so that long roots have squared length 2.
 Published tables sometimes use a different global scale (e.g. the type-C
@@ -153,20 +153,20 @@ def negate(w: Weight) -> Weight:
     return tuple(-x for x in w)
 
 
-def _chain_product(chain, v) -> int:
-    """prod over the roots beta of a parent table of sum_i c_i(beta) v_i,
-    each value being its parent's plus v_i."""
+def _tree_sums(chain, v) -> list[int]:
+    """sum_i c_i(beta) v_i for each root beta of a parent table, in its
+    order: each value is its parent's plus v_i."""
     vals: list[int] = []
     append = vals.append
     for parent, i in chain:
         append(v[i] if parent < 0 else vals[parent] + v[i])
-    return prod(vals)
+    return vals
 
 
 def _weyl_dim(chain, den: int, v: list[int], scale: int = 1) -> int:
     """scale * prod 2<w + rho, beta> / den over the roots of a parent table,
     from the chain values v of w; den is prod 2<rho, beta>."""
-    num = scale * _chain_product(chain, v)
+    num = scale * prod(_tree_sums(chain, v))
     q, r = divmod(num, den)
     if r:
         raise DecompositionError(
@@ -271,7 +271,7 @@ class RootSystem:
             tuple(Fraction(x, two_h) for x in row)
             for row in self.scaled_inverse_cartan
         )
-        self._weyl_den = _chain_product(self._chain, self.simple_root_norms)
+        self._weyl_den = prod(_tree_sums(self._chain, self.simple_root_norms))
 
     # -- construction helpers -------------------------------------------------
 
@@ -344,6 +344,7 @@ class RootSystem:
         unique element of the parabolic orbit that is nonnegative on those
         nodes.
         """
+        self.check_length(w)
         nodes = self._all_nodes if nodes is None else nodes
         w = tuple(w)
         while True:
@@ -359,6 +360,7 @@ class RootSystem:
         generated by the reflections in ``nodes``: u(w + rho) - rho, with u
         the element that makes w + rho nonnegative on those nodes, and the
         number of reflections made (``shifted_dominant`` on y = w + rho)."""
+        self.check_length(w)
         nodes = self._all_nodes if nodes is None else nodes
         top, steps = self.shifted_dominant([x + 1 for x in w], nodes)
         return (None if top is None else tuple([x - 1 for x in top])), steps
@@ -441,8 +443,7 @@ class RootSystem:
         self.check_length(w)
         if not is_dominant(w):
             raise ValueError(f"weight {w} is not dominant")
-        return self._freudenthal(w, self._all_nodes, self.positive_roots,
-                                 self.positive_root_coords)
+        return self._freudenthal(w, self._all_nodes, self.positive_roots, self._chain)
 
     def weight_system(self, w: Weight) -> dict[Weight, int]:
         """Full weight multiset of V_w, extended from the dominant chamber by
@@ -453,15 +454,15 @@ class RootSystem:
                 out[v] = mult
         return out
 
-    def _freudenthal(self, highest, nodes, pos_roots, coords) -> dict[Weight, int]:
+    def _freudenthal(self, highest, nodes, pos_roots, chain) -> dict[Weight, int]:
         """Freudenthal recursion restricted to the (parabolic) dominant chamber.
 
         Works in full fundamental coordinates with the ambient pairing; for a
         Levi subsystem this is legitimate because the orthogonal complement of
         the subsystem's root span pairs to zero with its roots, so every
         pairing in the recursion only sees the subsystem component, and rho
-        may have every coordinate 1.  ``coords`` holds the simple-root
-        coordinates of ``pos_roots``.
+        may have every coordinate 1.  ``chain`` is the parent table of
+        ``pos_roots``.
 
         The candidates are the dominant weights of V_highest: the weights
         highest - sum c_i alpha_i, every c_i >= 0 over the subsystem's simple
@@ -474,7 +475,7 @@ class RootSystem:
         # root at a time, every step dominant (Stembridge, The partial order
         # of dominant weights, Adv. Math. 136 (1998)), so a walk that only
         # goes down finds them all; a step adds the root's height to the level.
-        heights = [sum(c) for c in coords]
+        heights = _tree_sums(chain, [1] * self.rank)
         cands = {highest: 0}
         walk = [highest]
         for mu in walk:  # grows as the walk goes
@@ -484,40 +485,38 @@ class RootSystem:
                     cands[nu] = cands[mu] + height
                     walk.append(nu)
 
-        # rows 2(l_i, alpha) = c_i(alpha) |alpha_i|^2
-        pairs = [[x * n for x, n in zip(c, self.simple_root_norms)] for c in coords]
-        alpha_sq = [sum(x * y for x, y in zip(a, pa))
-                    for a, pa in zip(pos_roots, pairs)]
+        # every pairing 2(x, alpha) below is scaled by 4 h^vee, as lhs is
+        norms = [4 * self.dual_coxeter * n for n in self.simple_root_norms]
+        alpha_sq = [2 * self._pair_scaled(a, a) for a in pos_roots]
         top_shift = tuple(2 * x + 2 for x in highest)  # 2(highest + rho)
-        scale = 4 * self.dual_coxeter
 
         mults: dict[Weight, int] = {highest: 1}
         dom_cache: dict[Weight, Weight] = {}
         for mu in sorted(cands, key=cands.get)[1:]:
-            rhs = 0  # 2 sum_{alpha, j} m(mu + j alpha) <mu + j alpha, alpha>
-            for alpha, pa, a2 in zip(pos_roots, pairs, alpha_sq):
-                base = sum(x * y for x, y in zip(mu, pa))
-                j = 1
+            rhs = 0  # sum_{alpha, j >= 1} m(nu) 2(nu, alpha), nu = mu + j alpha
+            mu_pairs = _tree_sums(chain, [n * x for n, x in zip(norms, mu)])
+            for alpha, pair, a2 in zip(pos_roots, mu_pairs, alpha_sq):
                 nu = _add(mu, alpha)
                 while True:
-                    rep = dom_cache.get(nu)
-                    if rep is None:
-                        rep = self.dominant_representative(nu, nodes)
-                        dom_cache[nu] = rep
-                    m = mults.get(rep, 0)
+                    if nu not in dom_cache:
+                        dom_cache[nu] = self.dominant_representative(nu, nodes)
+                    m = mults.get(dom_cache[nu], 0)
                     if not m:
                         break
-                    rhs += m * (base + j * a2)
-                    j += 1
+                    pair += a2
+                    rhs += m * pair
                     nu = _add(nu, alpha)
             diff = _sub(highest, mu)
             lhs = self._pair_scaled(diff, _sub(top_shift, diff))
             # lhs = <highest+rho,highest+rho> - <mu+rho,mu+rho>, times 4 h^vee
             if lhs <= 0:
-                raise DecompositionError("Freudenthal denominator must be positive")
-            q, r = divmod(scale * rhs, lhs)
+                raise DecompositionError(f"Freudenthal denominator at {mu} below "
+                                         f"{highest} is {lhs}, not positive")
+            q, r = divmod(rhs, lhs)
             if r or q <= 0:
-                raise DecompositionError("Freudenthal multiplicity must be a positive integer")
+                raise DecompositionError(
+                    f"Freudenthal multiplicity at {mu} below {highest} is "
+                    f"{rhs}/{lhs}, not a positive integer")
             mults[mu] = q
         return mults
 
@@ -568,9 +567,9 @@ class LeviSubsystem:
         self.radical_root_coords = tuple(c for c in coords if c[k])
         norms = ambient.simple_root_norms
         self._chain = _parent_table(self._coords)
-        self._weyl_den = _chain_product(self._chain, norms)
+        self._weyl_den = prod(_tree_sums(self._chain, norms))
         self._radical_chain = _parent_table(self.radical_root_coords)
-        self._radical_den = _chain_product(self._radical_chain, norms)
+        self._radical_den = prod(_tree_sums(self._radical_chain, norms))
 
     def is_dominant(self, w: Weight) -> bool:
         return all(w[i] >= 0 for i in self.nodes)
@@ -600,6 +599,12 @@ class LeviSubsystem:
             raise ValueError(f"weight {w} is not dominant")
         return _weyl_dim(self._radical_chain, self._radical_den, v, levi_dim)
 
+    def radical_pairings(self, w: Weight) -> list[int]:
+        """2(w, beta) for each beta in ``radical_roots``, one pass down their tree."""
+        self.ambient.check_length(w)
+        norms = self.ambient.simple_root_norms
+        return _tree_sums(self._radical_chain, [n * x for n, x in zip(norms, w)])
+
     def dominant_weight_multiplicities(self, w: Weight) -> dict[Weight, int]:
         """Freudenthal multiplicities at the Levi-dominant weights of the
         Levi module V_w (full ambient coordinates)."""
@@ -607,11 +612,12 @@ class LeviSubsystem:
         if not self.is_dominant(w):
             raise ValueError(f"weight {w} is not Levi-dominant")
         return self.ambient._freudenthal(w, self.nodes, self.positive_roots,
-                                         self._coords)
+                                         self._chain)
 
     def dual_highest_weight(self, w: Weight) -> Weight:
         """Highest weight of the dual Levi module: the dominant representative
         of -w under the Levi Weyl group."""
+        self.ambient.check_length(w)
         return self.dominant_representative(negate(w))
 
     def __repr__(self) -> str:

@@ -210,7 +210,8 @@ def test_a_library_self_check_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "foliation", "sympl", "--n", "4", "--a", "2")
     assert code == 3 and out == ""
     assert err == ("internal error: DecompositionError: symplectic family "
-                   "twist must be minimal\n")
+                   "twist l=3 at a=2, p=3 must be minimal, the closed form "
+                   "gives 0\n")
 
 
 def test_verify_lists_a_rank_identity_failure(capsys, monkeypatch, cold_answers):

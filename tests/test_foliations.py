@@ -92,6 +92,23 @@ def test_symplectic_family_values():
         symplectic_family(4, 4)
 
 
+@pytest.mark.parametrize("family, closed_form, message", [
+    (symplectic_family, "min_twist_lagr",
+     "symplectic family twist l=3 at a=2, p=3 must be minimal, "
+     "the closed form gives 4"),
+    (orthogonal_family, "min_twist_spinor",
+     "orthogonal family twist l=4 at a=2, p=3 must be minimal, "
+     "the closed form gives 5"),
+])
+def test_a_family_twist_off_its_closed_form_names_both(monkeypatch, family,
+                                                       closed_form, message):
+    real = getattr(foliations, closed_form)
+    monkeypatch.setattr(foliations, closed_form, lambda p: real(p) + 1)
+    with pytest.raises(DecompositionError) as exc:
+        family(5, 2)
+    assert str(exc.value) == message
+
+
 def test_orthogonal_family_values():
     fam = orthogonal_family(5, 2)
     assert (fam.p, fam.l, fam.degree) == (3, 4, 0)

@@ -288,6 +288,14 @@ def test_closed_forms_meet_their_defining_inequalities():
         assert 2 * p == a * (a + 1) - 2 * b and 0 <= b < a, p
 
 
+def test_a_failed_spinor_parametrization_names_its_values(monkeypatch):
+    # a ceil(sqrt) one too small gives a = 2 for p = 4, and 2b = -2
+    monkeypatch.setattr(partitions, "_ceil_sqrt", lambda n: 5)
+    with pytest.raises(partitions.DecompositionError,
+                       match=r"^2p = a\(a\+1\) - 2b failed at p=4, a=2, 2b=-2$"):
+        partitions._spinor_parameters(4)
+
+
 def test_min_twist_spinor_known_values():
     assert min_twist_spinor(1) == 2   # a=1 forces b=0
     assert min_twist_spinor(2) == 3   # b = a-1 > 0 corner

@@ -267,6 +267,16 @@ def test_ambient_weyl_dim_from_the_levi_dimension(spec, data):
         levi.ambient_weyl_dim(bent, levi.weyl_dim(bent))
 
 
+@given(st.sampled_from(CATALOG_7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_radical_pairings_are_the_invariant_pairing(spec, data):
+    # one pass down the radical tree gives 2(w, beta) for every radical root
+    levi = spec.levi
+    w = data.draw(weights(spec.ambient.rank))
+    assert levi.radical_pairings(w) == [
+        2 * spec.ambient.pairing(w, beta) for beta in levi.radical_roots]
+
+
 def test_weyl_dim_is_exact_past_int64():
     # Python integers do not wrap: the weights the former int64 guard
     # refused get exact answers
@@ -395,6 +405,22 @@ def test_a_weyl_dimension_that_is_not_integral_names_its_fraction():
     assert str(exc.value) == "Weyl dimension 3/2 did not come out integral"
 
 
+@pytest.mark.parametrize("shift, message", [
+    (-32, "Freudenthal denominator at (0,) below (2,) is 0, not positive"),
+    (1, "Freudenthal multiplicity at (0,) below (2,) is 34/33, "
+        "not a positive integer")])
+def test_a_failed_freudenthal_step_names_its_values(monkeypatch, shift, message):
+    # on A1 at 2 l_1 the weight 0 has lhs = 4 h^vee (|3 l_1|^2 - |l_1|^2) = 32
+    # and rhs = 4 h^vee 2(alpha, alpha) = 2 x 16; the patch moves each
+    # scaled pairing by the shift
+    real = RootSystem._pair_scaled
+    monkeypatch.setattr(RootSystem, "_pair_scaled",
+                        lambda self, a, b: real(self, a, b) + shift)
+    with pytest.raises(DecompositionError) as exc:
+        RootSystem(LieType("A", 1)).dominant_weight_multiplicities((2,))
+    assert str(exc.value) == message
+
+
 def test_weight_system_trivial():
     assert root_system("A2").weight_system((0, 0)) == {(0, 0): 1}
 
@@ -514,9 +540,11 @@ _A3_LEVI = LeviSubsystem(_A3, 2)
 
 @pytest.mark.parametrize("entry", [
     _A3.dominant_weight_multiplicities, _A3_LEVI.dominant_weight_multiplicities,
-    _A3.weight_system, _A3.weyl_orbit],
+    _A3.weight_system, _A3.weyl_orbit, _A3.dominant_representative,
+    _A3.dot_dominant, _A3_LEVI.dual_highest_weight, _A3_LEVI.radical_pairings],
     ids=["dominant_weight_multiplicities", "levi_dominant_weight_multiplicities",
-         "weight_system", "weyl_orbit"])
+         "weight_system", "weyl_orbit", "dominant_representative", "dot_dominant",
+         "levi_dual_highest_weight", "levi_radical_pairings"])
 @pytest.mark.parametrize("w", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
 def test_weight_entry_points_refuse_a_wrong_length(entry, w):
     message = f"weight {w} has length {len(w)}; A3 weights have length 3"

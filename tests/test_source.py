@@ -41,6 +41,25 @@ def test_no_bare_assertion_errors_in_library():
     assert not found, found
 
 
+def test_every_self_check_names_its_values():
+    # a failed self-check is read after the fact: each raise of
+    # DecompositionError carries an f-string message with the values it
+    # compared, so the report shows what disagreed without a rerun
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(exc, ast.Call)
+                    and getattr(exc.func, "id", None) == "DecompositionError"):
+                continue
+            message = exc.args[0] if exc.args else None
+            if not (isinstance(message, ast.JoinedStr) and any(
+                    isinstance(v, ast.FormattedValue) for v in message.values)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def _cache_decorator(node):
     """The name of a functools cache decorator, or None."""
     target = node.func if isinstance(node, ast.Call) else node

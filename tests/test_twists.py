@@ -1,6 +1,6 @@
 import pytest
 
-from cominuscule import rootsys, twists
+from cominuscule import parse_space, rootsys, twists
 from cominuscule.catalog import (
     cayley,
     freudenthal,
@@ -69,10 +69,10 @@ def test_h0_below_the_minimal_twist_computes_no_weyl_dimension(monkeypatch):
     # moves only that coordinate: h0_dim answers 0 before any Weyl dimension
     cases = _summands_near_l()
     calls = []
-    chain_product = rootsys._chain_product
+    tree_sums = rootsys._tree_sums
     weyl_dim = rootsys.RootSystem.weyl_dim
-    monkeypatch.setattr(rootsys, "_chain_product",
-                        lambda *a: calls.append("chain") or chain_product(*a))
+    monkeypatch.setattr(rootsys, "_tree_sums",
+                        lambda *a: calls.append("chain") or tree_sums(*a))
     monkeypatch.setattr(rootsys.RootSystem, "weyl_dim",
                         lambda self, w: calls.append("weyl_dim") or weyl_dim(self, w))
     for spec, summands, l in cases:
@@ -86,6 +86,26 @@ def test_h0_below_the_minimal_twist_computes_no_weyl_dimension(monkeypatch):
     assert calls == ["chain"]
     assert h0_dim(spec, summands[0].highest_weight, l) > 0
     assert calls == ["chain", "weyl_dim", "chain"]
+
+
+def _h0_total(spec, p, t):
+    return sum(h0_dim(spec, s, t) for s in omega_decompose(spec, p).summands)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("IG:2", "Q:3"), ("OG:4", "Q:6"), ("OG:3", "G:1:4"), ("Q:4", "G:2:4"),
+    ("G:2:5", "G:3:5"), ("G:2:6", "G:4:6"), ("G:3:7", "G:4:7")])
+def test_isomorphic_presentations_agree(first, second):
+    # one variety through two specs, with different families, routes, closed
+    # forms and Levi weights: what belongs to X itself must agree.  IG:2,
+    # OG:4 and G:2:4 set a partition fast path against Kostant's walk
+    a, b = parse_space(first), parse_space(second)
+    assert a.dim == b.dim
+    for p in range(1, a.dim + 1):
+        l = min_twist(a, p).l
+        assert min_twist(b, p).l == l, p
+        for t in range(l - 1, l + 4):
+            assert _h0_total(a, p, t) == _h0_total(b, p, t), (p, t)
 
 
 def test_h0_dim_refuses_a_weight_of_the_wrong_length():
