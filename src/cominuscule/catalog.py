@@ -154,37 +154,51 @@ FAMILIES = tuple(_CONSTRUCTORS)
 
 
 def make_spec(family: str, *params: int) -> GrassmannianSpec:
-    """Build a spec by family name; params as for the named constructors."""
+    """Build a spec by family name; params as for the named constructors.
+    A quadric of the other parity is refused, not returned."""
     if family not in _CONSTRUCTORS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return _CONSTRUCTORS[family](*params)
+    spec = _CONSTRUCTORS[family](*params)
+    if spec.family != family:
+        raise ValueError(f"family {family!r} asked for, but {spec.name} is "
+                         f"of family {spec.family!r}")
+    return spec
+
+
+_FORMS = {"G": "G:k:n", "Q": "Q:m", "IG": "IG:n", "OG": "OG:n", "E6": "E6", "E7": "E7"}
 
 
 def parse_space(text: str) -> GrassmannianSpec:
     """Parse the space grammar ``G:k:n | Q:m | IG:n | OG:n | E6 | E7``.
 
-    An ambient rank above ``rootsys.MAX_AMBIENT_RANK`` is refused before any
-    root system is built.
+    Heads are case-insensitive; a parameter is ASCII decimal digits with an
+    optional leading minus.  An ambient rank above
+    ``rootsys.MAX_AMBIENT_RANK`` is refused before any root system is built.
     """
-    tokens = text.strip().split(":")
-    head = tokens[0].upper()
+    head, *tokens = text.strip().split(":")
+    form = _FORMS.get(head.upper())
+    if form is None:
+        raise ValueError(f"bad space {text!r}: token {head!r} does not match "
+                         + " | ".join(_FORMS.values()))
+    if len(tokens) != form.count(":"):
+        raise ValueError(f"bad space {text!r}: expected the form {form}")
+    for token in tokens:
+        digits = token.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad space {text!r}: parameter {token!r} of {form} "
+                             "is not an integer in ASCII digits")
     try:
-        if head == "E6" and len(tokens) == 1:
-            return cayley()
-        if head == "E7" and len(tokens) == 1:
-            return freudenthal()
-        if head == "G" and len(tokens) == 3:
-            return grassmannian(int(tokens[1]), int(tokens[2]))
-        if head == "Q" and len(tokens) == 2:
-            return quadric(int(tokens[1]))
-        if head in ("IG", "OG") and len(tokens) == 2:
-            n = int(tokens[1])
-            return lagrangian(n) if head == "IG" else spinor(n)
+        if form == "G:k:n":
+            return grassmannian(int(tokens[0]), int(tokens[1]))
+        if form == "Q:m":
+            return quadric(int(tokens[0]))
+        if form == "IG:n":
+            return lagrangian(int(tokens[0]))
+        if form == "OG:n":
+            return spinor(int(tokens[0]))
     except ValueError as exc:
         raise ValueError(f"bad space {text!r}: {exc}") from None
-    raise ValueError(
-        f"bad space {text!r}: token {tokens[0]!r} does not match "
-        "G:k:n | Q:m | IG:n | OG:n | E6 | E7")
+    return cayley() if form == "E6" else freudenthal()
 
 
 @dataclass(frozen=True)
@@ -192,10 +206,9 @@ class Table1Check:
     """Conformance record for one catalog row: recomputed values against the
     reference dimension/index formulas and cotangent weight."""
 
-    space: str
+    matches: bool
     computed: dict
     expected: dict
-    matches: bool
     notes: tuple[str, ...] = ()
 
 
@@ -213,11 +226,9 @@ def check_table1(spec: GrassmannianSpec) -> Table1Check:
         expected = {"dim": k * (n - k), "c1": n}
         notes.append("table row reads G(k,r) with r = dim V = ambient rank + 1")
     elif spec.family == "quadric_odd":
-        (m,) = spec.params
         r = spec.ambient.rank
         expected = {"dim": 2 * r - 1, "c1": 2 * r - 1}
     elif spec.family == "quadric_even":
-        (m,) = spec.params
         r = spec.ambient.rank
         expected = {"dim": 2 * r - 2, "c1": 2 * r - 2}
     elif spec.family == "lagrangian":
@@ -235,13 +246,10 @@ def check_table1(spec: GrassmannianSpec) -> Table1Check:
 
     computed = {"dim": spec.dim, "c1": spec.index_c1,
                 "cotangent": spec.cotangent_weight}
-    keys = set(expected)
-    matches = all(computed[key] == expected[key] for key in keys)
     return Table1Check(
-        space=spec.name,
+        matches=all(computed[key] == expected[key] for key in expected),
         computed={k: computed[k] for k in sorted(computed)},
         expected={k: expected[k] for k in sorted(expected)},
-        matches=matches,
         notes=tuple(notes),
     )
 

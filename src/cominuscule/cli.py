@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 from . import catalog, foliations, partitions, twists
 from .plethysm import RankIdentityError, omega_decompose
@@ -238,9 +239,7 @@ def _catalog_list(args):
 def _catalog_show(args):
     spec = catalog.parse_space(args.space)
     check = catalog.check_table1(spec)
-    payload = {**_spec_dict(spec), "table1_check": {
-        "matches": check.matches, "computed": check.computed,
-        "expected": check.expected, "notes": check.notes}}
+    payload = {**_spec_dict(spec), "table1_check": asdict(check)}
     return (EXIT_OK if check.matches else EXIT_MISMATCH), payload, [payload], _SPEC_FIELDS
 
 
@@ -273,10 +272,7 @@ def _min_twist(args):
 
 def _table_audit(args):
     audit = twists.table_audit(args.which)
-    rows = [{"p": r.p, "computed_weights": r.computed_weights,
-             "table_weights": r.table_weights, "weights_match": r.weights_match,
-             "computed_l": r.computed_l, "table_l": r.table_l, "l_match": r.l_match}
-            for r in audit.rows]
+    rows = [asdict(r) for r in audit.rows]
     payload = {"which": audit.which, "ok": audit.ok, "rows": rows}
     return (EXIT_OK if audit.ok else EXIT_MISMATCH), payload, rows, [
         "p", "weights_match", "l_match", "computed_l", "table_l",
@@ -301,11 +297,7 @@ def _nonvanishing(args):
 def _foliation(families):
     """The handler of a foliation command: ``families(args)`` gives its reports."""
     def run(args):
-        rows = [{"space": r.space, "p": r.p, "l": r.l, "degree": r.degree,
-                 "kind": r.kind, "params": r.params,
-                 "parameter_space": r.parameter_space, "tf_rank": r.tf_rank,
-                 "tf_c1": r.tf_c1, "minimal": r.minimal, "notes": r.notes}
-                for r in families(args)]
+        rows = [asdict(r) for r in families(args)]
         return EXIT_OK, rows, rows, _FOLIATION_FIELDS
     return run
 

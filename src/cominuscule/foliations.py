@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import GrassmannianSpec, catalog_params, cayley
+from .catalog import catalog_params, cayley
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
 from .plethysm import DecompositionError
 from .twists import min_twist
@@ -42,6 +42,16 @@ class FoliationFamilyReport:
     tf_c1: int
     minimal: bool
     notes: tuple[str, ...] = ()
+
+
+def _family(space: str, dim: int, c1: int, p: int, l: int, kind: str, params: dict,
+            parameter_space: str, minimal: bool = True,
+            notes: tuple[str, ...] = ()) -> FoliationFamilyReport:
+    """A family's report from the invariants of its space X (dim X, c1(X))
+    and its codimension p and normal twist l: degree l - p - 1, and a
+    tangent sheaf of rank dim X - p with c1(X) - l."""
+    return FoliationFamilyReport(space, p, l, l - p - 1, kind, params, parameter_space,
+                                 dim - p, c1 - l, minimal, notes)
 
 
 def _flag_text(a: int, b: int, n: int) -> str:
@@ -73,28 +83,14 @@ def rect_family(k: int, n: int, p: int) -> list[FoliationFamilyReport]:
         d = p // e
         if d > h:
             continue
-        l = d + e
-        minimal = l == l_min
         kind = "araujo_druel" if e == k else "rect_flag"
         params = {"d": d, "e": e, "h": h}
-        notes = []
+        notes = ()
         if kind == "araujo_druel":
-            m = n - k - d
-            params["m"] = m
-            notes.append(f"linear-projection case: c1 of the normal sheaf is n - m = {n - m}")
-        out.append(FoliationFamilyReport(
-            space=f"G:{k}:{n}",
-            p=p,
-            l=l,
-            degree=l - p - 1,
-            kind=kind,
-            params=params,
-            parameter_space=_flag_text(h - d, h + e, n),
-            tf_rank=k * h - d * e,
-            tf_c1=n - d - e,
-            minimal=minimal,
-            notes=tuple(notes),
-        ))
+            params["m"] = m = n - k - d
+            notes = (f"linear-projection case: c1 of the normal sheaf is n - m = {n - m}",)
+        out.append(_family(f"G:{k}:{n}", k * h, n, p, d + e, kind, params,
+                           _flag_text(h - d, h + e, n), d + e == l_min, notes))
     out.sort(key=lambda r: (not r.minimal, -r.params["d"]))
     return out
 
@@ -109,19 +105,8 @@ def symplectic_family(n: int, a: int) -> FoliationFamilyReport:
     if l != (least := min_twist_lagr(p)):
         raise DecompositionError(f"symplectic family twist l={l} at a={a}, p={p} "
                                  f"must be minimal, the closed form gives {least}")
-    dim = n * (n + 1) // 2
-    return FoliationFamilyReport(
-        space=f"IG:{n}",
-        p=p,
-        l=l,
-        degree=l - p - 1,
-        kind="symplectic_projection",
-        params={"a": a, "n": n},
-        parameter_space=f"IG({n - a}, C^{2 * n})",
-        tf_rank=dim - p,
-        tf_c1=(n + 1) - l,
-        minimal=True,
-    )
+    return _family(f"IG:{n}", n * (n + 1) // 2, n + 1, p, l, "symplectic_projection",
+                   {"a": a, "n": n}, f"IG({n - a}, C^{2 * n})")
 
 
 def orthogonal_family(n: int, a: int) -> FoliationFamilyReport:
@@ -134,19 +119,8 @@ def orthogonal_family(n: int, a: int) -> FoliationFamilyReport:
     if l != (least := min_twist_spinor(p)):
         raise DecompositionError(f"orthogonal family twist l={l} at a={a}, p={p} "
                                  f"must be minimal, the closed form gives {least}")
-    dim = n * (n - 1) // 2
-    return FoliationFamilyReport(
-        space=f"OG:{n}",
-        p=p,
-        l=l,
-        degree=l - p - 1,
-        kind="orthogonal_projection",
-        params={"a": a, "n": n},
-        parameter_space=f"OG({n - a - 1}, C^{2 * n})",
-        tf_rank=dim - p,
-        tf_c1=(2 * n - 2) - l,
-        minimal=True,
-    )
+    return _family(f"OG:{n}", n * (n - 1) // 2, 2 * n - 2, p, l, "orthogonal_projection",
+                   {"a": a, "n": n}, f"OG({n - a - 1}, C^{2 * n})")
 
 
 def cayley_family() -> FoliationFamilyReport:
@@ -173,22 +147,10 @@ def cayley_family() -> FoliationFamilyReport:
         raise DecompositionError(
             f"E6, p=8: the dual weight 4 l1 has dimension {dim_dual}, "
             f"the witness h0_dim={report.h0_dim}")
-    return FoliationFamilyReport(
-        space="E6",
-        p=8,
-        l=8,
-        degree=-1,
-        kind="cayley_lines",
-        params={},
-        parameter_space="dual Cayley plane (E6 marked at node 6)",
-        tf_rank=8,
-        tf_c1=4,
-        minimal=True,
-        notes=(
-            "witness summand -8l1+4l6; twisted section weight 4l6, dual 4l1, "
-            f"dimension {report.h0_dim} either way",
-        ),
-    )
+    return _family(spec.name, spec.dim, spec.index_c1, report.p, report.l, "cayley_lines",
+                   {}, "dual Cayley plane (E6 marked at node 6)", notes=(
+                       "witness summand -8l1+4l6; twisted section weight 4l6, dual 4l1, "
+                       f"dimension {report.h0_dim} either way",))
 
 
 def _space_order(name: str) -> tuple:

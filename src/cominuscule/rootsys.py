@@ -635,10 +635,13 @@ def root_system(family: str, rank: int | None = None) -> RootSystem:
     read."""
     if rank is None:
         family, rank = family[:1], family[1:]
-        if not (family.isalpha() and rank.isdecimal()):
+        if not (family.isalpha() and rank.isascii() and rank.isdigit()):
             raise ValueError(f"bad root system label {family + rank!r}: expected "
                              "a family letter and a rank, such as A4 or E6")
-    rank = int(rank)
+        rank = int(rank)
+    elif not isinstance(rank, int):
+        raise ValueError(f"bad rank {rank!r} for root system family {family!r}: "
+                         "expected an integer")
     _check_rank(rank)
     return _root_system(family, rank)
 

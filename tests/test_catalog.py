@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from cominuscule import catalog, rootsys
@@ -124,6 +126,9 @@ def test_check_table1_values_and_notes():
     assert rec.expected == {"dim": 6, "c1": 6}
     rec = check_table1(lagrangian(2))
     assert rec.expected == {"dim": 3, "c1": 3}
+    # the fields in the order ``catalog show`` prints them
+    assert [f.name for f in dataclasses.fields(rec)] == [
+        "matches", "computed", "expected", "notes"]
 
 
 def test_parse_space_grammar():
@@ -135,7 +140,9 @@ def test_parse_space_grammar():
     assert parse_space("OG:5").name == "OG:5"
 
 
-@pytest.mark.parametrize("bad", ["G:0:5", "G:5", "Q:2", "IG:1", "X:3", "E8", "G:2:x"])
+@pytest.mark.parametrize("bad", ["G:0:5", "G:5", "Q:2", "IG:1", "X:3", "E8", "G:2:x",
+                                 "G:2:5:", "E6:1", "Q", "IG:1_0", "Q:+3", "G: 2:5",
+                                 "G:\u0663:5", "G:-1:5"])
 def test_parse_space_diagnostics(bad):
     # refused on every call: no failure is cached
     for _ in range(2):
@@ -218,6 +225,16 @@ def test_catalog_params_take_the_rank_cap_and_refuse_beyond_it():
         catalog_params(rootsys.MAX_AMBIENT_RANK + 1)
 
 
+def test_make_spec_refuses_a_quadric_of_the_other_parity():
+    for family, m, built in (("quadric_even", 7, "quadric_odd"),
+                             ("quadric_odd", 8, "quadric_even")):
+        with pytest.raises(ValueError) as err:
+            make_spec(family, m)
+        assert str(err.value) == (f"family {family!r} asked for, but Q:{m} is "
+                                  f"of family {built!r}")
+    assert make_spec("quadric_even", 8) is quadric(8)
+
+
 def test_make_spec_names_the_families_in_catalog_order():
     with pytest.raises(ValueError) as exc:
         make_spec("torus")
@@ -246,6 +263,8 @@ def test_each_space_is_built_once():
     assert parse_space("IG:4") is lagrangian(4)
     assert parse_space("OG:5") is spinor(5)
     assert parse_space("e6") is cayley()
+    assert parse_space(" g:2:5 ") is grassmannian(2, 5)
+    assert parse_space("Q:07") is quadric(7)
     assert parse_space("E7") is freudenthal()
 
 

@@ -33,6 +33,7 @@ def test_catalog_list_and_show(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["dim"] == 15 and data["table1_check"]["matches"]
+    assert list(data["table1_check"]) == ["matches", "computed", "expected", "notes"]
 
 
 def test_catalog_show_bad_space_is_usage_error(capsys):
@@ -51,6 +52,29 @@ def test_a_space_above_the_grammar_limit_is_a_usage_error(capsys):
     assert rootsys._root_system.cache_info() == roots
 
 
+@pytest.mark.parametrize("space,message", [
+    ("G:2:5:", "expected the form G:k:n"),
+    ("G:5", "expected the form G:k:n"),
+    ("E6:1", "expected the form E6"),
+    ("Q", "expected the form Q:m"),
+    ("IG:1_0", "parameter '1_0' of IG:n is not an integer in ASCII digits"),
+    ("Q:+3", "parameter '+3' of Q:m is not an integer in ASCII digits"),
+    ("G: 2:5", "parameter ' 2' of G:k:n is not an integer in ASCII digits"),
+    ("G:\u0663:5", "parameter '\u0663' of G:k:n is not an integer in ASCII digits"),
+    ("G:2:x", "parameter 'x' of G:k:n is not an integer in ASCII digits"),
+    ("G:--1:5", "parameter '--1' of G:k:n is not an integer in ASCII digits"),
+    ("og:3:4", "expected the form OG:n"),
+    ("X:3", "token 'X' does not match G:k:n | Q:m | IG:n | OG:n | E6 | E7"),
+    ("G:-1:5", "G(-1,5): need 1 <= k <= n-1, n >= 2"),
+])
+def test_a_space_off_the_grammar_is_one_usage_line(capsys, space, message):
+    # a known head with the wrong number of parameters names its form; a
+    # parameter is ASCII digits with an optional leading minus, never renamed
+    code, out, err = run(capsys, "catalog", "show", "--space", space)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad space {space!r}: {message}\n"
+
+
 def _bad_label(label):
     return (f"error: bad root system label {label!r}: expected a family "
             "letter and a rank, such as A4 or E6\n")
@@ -59,8 +83,8 @@ def _bad_label(label):
 @pytest.mark.parametrize("label,message", [
     ("A200", "error: ambient rank 200 is above the limit "
              "MAX_AMBIENT_RANK = 150\n"),
-    *((label, _bad_label(label)) for label in ("", "A", "E", "A3x")),
-], ids=["A200", "empty", "A", "E", "A3x"])
+    *((label, _bad_label(label)) for label in ("", "A", "E", "A3x", "A\u0663")),
+], ids=["A200", "empty", "A", "E", "A3x", "A-arabic-indic-3"])
 def test_a_root_system_above_the_limit_is_a_usage_error(capsys, label, message):
     # a label past the rank cap, or with no family letter or no integer
     # rank, is one usage line, never an internal error

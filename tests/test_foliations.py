@@ -10,6 +10,7 @@ from cominuscule.foliations import (
     rect_family,
     symplectic_family,
 )
+from cominuscule.catalog import parse_space
 from cominuscule.partitions import (
     min_twist_lagr_oracle,
     min_twist_spinor_oracle,
@@ -181,6 +182,21 @@ def test_atlas_lists_spaces_in_numeric_order():
     # up to rank 8 every parameter has one digit: the order is the string order
     names = [r.space for r in foliation_atlas(8)]
     assert names == sorted(names)
+
+
+def test_the_atlas_agrees_with_the_catalog():
+    # each family's dim X and c1(X) formulas against the values built from
+    # the root system
+    atlas = foliation_atlas(8)
+    assert len(atlas) == 208
+    assert {r.kind for r in atlas} == {"rect_flag", "araujo_druel",
+                                       "symplectic_projection",
+                                       "orthogonal_projection", "cayley_lines"}
+    for row in atlas:
+        spec = parse_space(row.space)
+        assert row.tf_rank == spec.dim - row.p, row
+        assert row.tf_c1 == spec.index_c1 - row.l, row
+        assert row.degree == row.l - row.p - 1, row
 
 
 def test_atlas_refuses_a_rank_below_two():

@@ -36,6 +36,16 @@ def test_lie_type_validation():
     assert str(LieType("A", 5)) == "A5"
 
 
+@pytest.mark.parametrize("rank", [4.5, 4.0, "4"])
+def test_a_rank_that_is_not_an_integer_is_refused(rank):
+    roots = rootsys._root_system.cache_info()
+    with pytest.raises(ValueError) as err:
+        root_system("A", rank)
+    assert str(err.value) == (f"bad rank {rank!r} for root system family 'A': "
+                              "expected an integer")
+    assert rootsys._root_system.cache_info() == roots
+
+
 def test_the_rank_cap_is_checked_before_the_cache(monkeypatch):
     assert rootsys.MAX_AMBIENT_RANK == 150
     roots = rootsys._root_system.cache_info()
