@@ -141,31 +141,35 @@ def freudenthal() -> GrassmannianSpec:
     return _build("freudenthal", (), "E7", root_system("E7"), 7)
 
 
-_CONSTRUCTORS = {
-    "grassmannian": grassmannian,
-    "quadric_odd": quadric,
-    "quadric_even": quadric,
-    "lagrangian": lagrangian,
-    "spinor": spinor,
-    "cayley": cayley,
-    "freudenthal": freudenthal,
+_FAMILY_FORMS = {
+    "grassmannian": "G:k:n",
+    "quadric_odd": "Q:m",
+    "quadric_even": "Q:m",
+    "lagrangian": "IG:n",
+    "spinor": "OG:n",
+    "cayley": "E6",
+    "freudenthal": "E7",
 }
-FAMILIES = tuple(_CONSTRUCTORS)
+FAMILIES = tuple(_FAMILY_FORMS)
+_FORMS = {form.split(":")[0]: form for form in _FAMILY_FORMS.values()}
 
 
 def make_spec(family: str, *params: int) -> GrassmannianSpec:
     """Build a spec by family name; params as for the named constructors.
-    A quadric of the other parity is refused, not returned."""
-    if family not in _CONSTRUCTORS:
+    A wrong count or type of params, or the other quadric parity, is refused."""
+    form = _FAMILY_FORMS.get(family)
+    if form is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    spec = _CONSTRUCTORS[family](*params)
+    if len(params) != form.count(":") or any(type(x) is not int for x in params):
+        raise ValueError(f"family {family!r} expects the form {form}, "
+                         f"got the parameters {params!r}")
+    # looked up per call, as in parse_space, so a rebound constructor is reached
+    spec = {"G:k:n": grassmannian, "Q:m": quadric, "IG:n": lagrangian,
+            "OG:n": spinor, "E6": cayley, "E7": freudenthal}[form](*params)
     if spec.family != family:
         raise ValueError(f"family {family!r} asked for, but {spec.name} is "
                          f"of family {spec.family!r}")
     return spec
-
-
-_FORMS = {"G": "G:k:n", "Q": "Q:m", "IG": "IG:n", "OG": "OG:n", "E6": "E6", "E7": "E7"}
 
 
 def parse_space(text: str) -> GrassmannianSpec:

@@ -153,26 +153,18 @@ def cayley_family() -> FoliationFamilyReport:
                        f"dimension {report.h0_dim} either way",))
 
 
-def _space_order(name: str) -> tuple:
-    """A space name as (head, integer parameters): G:1:2 before G:1:10."""
-    head, *params = name.split(":")
-    return head, tuple(map(int, params))
-
-
 def foliation_atlas(max_rank: int) -> list[FoliationFamilyReport]:
     """All minimal-degree families the catalog affords up to an ambient rank:
-    minimal rectangles, all symplectic/orthogonal parameters, and the Cayley
-    family.  Sorted by (space, p) for deterministic output."""
-    rows: list[FoliationFamilyReport] = []
+    the Cayley family, minimal rectangles, and all symplectic/orthogonal
+    parameters.  Built in print order: by space head (E6, G, IG, OG), then
+    integer parameters (G:1:2 before G:1:10), then p, widest rectangle first."""
     params = catalog_params(max_rank)
-    for k, n in params["grassmannian"]:
+    rows = [cayley_family()] if params["cayley"] else []
+    for k, n in sorted(params["grassmannian"]):
         for p in range(1, k * (n - k) + 1):
             rows.extend(r for r in rect_family(k, n, p) if r.minimal)
     for (n,) in params["lagrangian"]:
         rows.extend(symplectic_family(n, a) for a in range(1, n))
     for (n,) in params["spinor"]:
         rows.extend(orthogonal_family(n, a) for a in range(1, n - 1))
-    if params["cayley"]:
-        rows.append(cayley_family())
-    rows.sort(key=lambda r: (_space_order(r.space), r.p, -r.params.get("d", 0)))
     return rows

@@ -130,13 +130,19 @@ def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
     return MinTwistReport(spec, p, l, l - p - 1, witnesses, h0, report.method)
 
 
+def route_l(spec: GrassmannianSpec, p: int) -> int:
+    """l(p) read off the auto route's decomposition alone, with no closed
+    form consulted."""
+    return _min_l(spec, omega_decompose(spec, p).summands)
+
+
 def _scan_l(spec: GrassmannianSpec, p: int) -> int:
     """l(p) for batch scans: closed form where available, the decomposition
     otherwise."""
     formula = closed_form_l(spec, p)
     if formula is not None:
         return formula
-    return _min_l(spec, omega_decompose(spec, p).summands)
+    return route_l(spec, p)
 
 
 # -- low-twist scan ---------------------------------------------------------------

@@ -235,6 +235,28 @@ def test_make_spec_refuses_a_quadric_of_the_other_parity():
     assert make_spec("quadric_even", 8) is quadric(8)
 
 
+def test_make_spec_refuses_a_wrong_count_or_type():
+    for args, form in ((("cayley", 3), "E6"), (("grassmannian", 2), "G:k:n"),
+                       (("grassmannian", 2, 5, 1), "G:k:n"),
+                       (("lagrangian", "4"), "IG:n")):
+        with pytest.raises(ValueError) as err:
+            make_spec(*args)
+        assert str(err.value) == (f"family {args[0]!r} expects the form {form}, "
+                                  f"got the parameters {args[1:]!r}")
+
+
+def test_make_spec_and_parse_space_reach_a_rebound_constructor(monkeypatch):
+    # each constructor is looked up when called, not bound at import
+    asked = []
+    for name in ("grassmannian", "cayley"):
+        real = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda *a, real=real, name=name:
+                            asked.append((name, a)) or real(*a))
+    assert make_spec("grassmannian", 2, 5) is parse_space("G:2:5")
+    assert make_spec("cayley") is parse_space("E6")
+    assert asked == [("grassmannian", (2, 5))] * 2 + [("cayley", ())] * 2
+
+
 def test_make_spec_names_the_families_in_catalog_order():
     with pytest.raises(ValueError) as exc:
         make_spec("torus")

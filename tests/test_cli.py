@@ -289,6 +289,27 @@ def test_verify_lists_an_engine_rank_identity_failure(capsys, monkeypatch,
     assert all(c["ok"] for c in components.values())
 
 
+def test_verify_leaves_a_family_grade_that_fails_the_rank_identity(
+        capsys, monkeypatch, cold_answers):
+    # the hook route of IG:3 loses a summand of grade 3, the grade of its
+    # a = 2 symplectic row: the rank identity lists the grade, and the
+    # family check leaves the row uncounted rather than stop verify
+    real = plethysm.hooks_decompose
+
+    def lossy(spec, p):
+        pairs = real(spec, p)
+        return pairs[1:] if (spec.name, p) == ("IG:3", 3) else pairs
+
+    monkeypatch.setattr(plethysm, "hooks_decompose", lossy)
+    code, out, _ = run(capsys, "verify", "--max-rank", "3")
+    assert code == 1
+    components = {c["name"]: c for c in json.loads(out)["components"]}
+    rank = components.pop("rank identity")
+    assert [(f["space"], f["p"]) for f in rank["failures"]] == [("IG:3", 3)]
+    assert components["foliation family twist consistency"]["checked"] == 13
+    assert all(c["ok"] for c in components.values())
+
+
 def test_run_verify_refuses_a_rank_below_two():
     with pytest.raises(ValueError, match="^--max-rank must be at least 2$"):
         cli.run_verify(1)
@@ -352,31 +373,53 @@ def test_verify_lists_a_partition_failure(capsys, monkeypatch):
         for n in (2, 3)]}
 
 
-def _off_by_one(report):
-    return dataclasses.replace(report, l=report.l + 1)
+def _off_by_one(reports):
+    if isinstance(reports, list):
+        return [_off_by_one(r) for r in reports]
+    return dataclasses.replace(reports, l=reports.l + 1)
 
 
-@pytest.mark.parametrize("name, args, oracle, max_rank, entry", [
-    ("symplectic_family", (3, 2), partitions.min_twist_lagr_oracle, 3,
-     {"family": "symplectic", "n": 3, "a": 2}),
-    ("orthogonal_family", (3, 1), partitions.min_twist_spinor_oracle, 3,
-     {"family": "orthogonal", "n": 3, "a": 1}),
-    ("cayley_family", (), None, 6, {"family": "cayley", "got": [8, 9, -1]}),
+def _entries(space, p, kinds, family_l, route_l):
+    return [{"space": space, "p": p, "kind": kind, "family_l": family_l,
+             "route_l": route_l} for kind in kinds]
+
+
+@pytest.mark.parametrize("name, args, max_rank, entries", [
+    ("symplectic_family", (3, 2), 3,
+     _entries("IG:3", 3, ("symplectic_projection",), 4, 3)),
+    ("orthogonal_family", (3, 1), 3,
+     _entries("OG:3", 1, ("orthogonal_projection",), 3, 2)),
+    ("cayley_family", (), 6, _entries("E6", 8, ("cayley_lines",), 9, 8)),
+    ("rect_family", (2, 4, 2), 3,
+     _entries("G:2:4", 2, ("rect_flag", "araujo_druel"), 4, 3)),
 ])
-def test_verify_lists_a_family_failure(capsys, monkeypatch, name, args, oracle,
-                                       max_rank, entry):
-    # one family report carries a twist one too high
+def test_verify_lists_a_family_failure(capsys, monkeypatch, name, args,
+                                       max_rank, entries):
+    # one family builder reports a twist one too high: each of its atlas
+    # rows is listed against the l(p) of the auto route
     real = getattr(foliations, name)
     monkeypatch.setattr(foliations, name, lambda *a: _off_by_one(real(*a))
                         if a == args else real(*a))
-    if oracle is not None:
-        fam = real(*args)
-        entry = {**entry, "family_l": fam.l + 1, "oracle_l": oracle(args[0], fam.p).l}
     failed = _failed_components(capsys, max_rank)
     if max_rank >= 6:
         # the transcription typo in row p = 8 of the E6 table
         assert [f["p"] for f in failed.pop("table audit")] == [8]
-    assert failed == {"foliation family twist consistency": [entry]}
+    assert failed == {"foliation family twist consistency": entries}
+
+
+def test_verify_at_rank_seven_checks_the_pinned_counts():
+    # the counts of the CI command verify --max-rank 7; its one failure is
+    # the transcription typo in row p = 8 of the E6 table
+    code, report = cli.run_verify(7)
+    assert code == 1
+    assert [(c["name"], c["checked"]) for c in report["components"]] == [
+        ("partition formula vs oracle", 258), ("fast path vs weight engine", 400),
+        ("rank identity", 429), ("table audit", 41),
+        ("low-twist nonvanishing scan", 389),
+        ("foliation family twist consistency", 146)]
+    failed = {c["name"]: c["failures"] for c in report["components"] if not c["ok"]}
+    assert list(failed) == ["table audit"]
+    assert [(f["table"], f["p"]) for f in failed["table audit"]] == [("E6", 8)]
 
 
 def test_cli_options_are_pinned():

@@ -182,6 +182,13 @@ def test_atlas_lists_spaces_in_numeric_order():
     # up to rank 8 every parameter has one digit: the order is the string order
     names = [r.space for r in foliation_atlas(8)]
     assert names == sorted(names)
+    # the whole row order: by head, integer parameters, p, widest rectangle first
+    def key(row):
+        head, *params = row.space.split(":")
+        return head, tuple(map(int, params)), row.p, -row.params.get("d", 0)
+
+    rows = foliation_atlas(12)
+    assert rows == sorted(rows, key=key)
 
 
 def test_the_atlas_agrees_with_the_catalog():
