@@ -28,9 +28,8 @@ grassmannian(2, 5)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .rootsys import (
     DecompositionError,
@@ -42,8 +41,8 @@ from .rootsys import (
     root_system,
 )
 
-@dataclass(frozen=True)
-class GrassmannianSpec:
+
+class GrassmannianSpec(NamedTuple):
     """One cominuscule space: ambient type, marked node, derived data."""
 
     family: str
@@ -53,8 +52,8 @@ class GrassmannianSpec:
     dim: int
     index_c1: int
     cotangent_weight: Weight
-    ambient: RootSystem = field(compare=False, repr=False)
-    levi: LeviSubsystem = field(compare=False, repr=False)
+    ambient: RootSystem
+    levi: LeviSubsystem
 
     def __str__(self) -> str:
         return self.name
@@ -205,8 +204,7 @@ def parse_space(text: str) -> GrassmannianSpec:
     return cayley() if form == "E6" else freudenthal()
 
 
-@dataclass(frozen=True)
-class Table1Check:
+class Table1Check(NamedTuple):
     """Conformance record for one catalog row: recomputed values against the
     reference dimension/index formulas and cotangent weight."""
 

@@ -14,13 +14,11 @@ by sorting rather than by completion order.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 
 from . import catalog, foliations, partitions, twists
 from .plethysm import RankIdentityError, omega_decompose
@@ -41,6 +39,8 @@ def _emit(payload, fmt: str, out: str | None, csv_rows, csv_fields) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
         writer.writeheader()
@@ -234,7 +234,7 @@ def _catalog_list(args):
 def _catalog_show(args):
     spec = catalog.parse_space(args.space)
     check = catalog.check_table1(spec)
-    payload = {**_spec_dict(spec), "table1_check": asdict(check)}
+    payload = {**_spec_dict(spec), "table1_check": check._asdict()}
     return (EXIT_OK if check.matches else EXIT_MISMATCH), payload, [payload], _SPEC_FIELDS
 
 
@@ -267,7 +267,7 @@ def _min_twist(args):
 
 def _table_audit(args):
     audit = twists.table_audit(args.which)
-    rows = [asdict(r) for r in audit.rows]
+    rows = [r._asdict() for r in audit.rows]
     payload = {"which": audit.which, "ok": audit.ok, "rows": rows}
     return (EXIT_OK if audit.ok else EXIT_MISMATCH), payload, rows, [
         "p", "weights_match", "l_match", "computed_l", "table_l",
@@ -292,7 +292,7 @@ def _nonvanishing(args):
 def _foliation(families):
     """The handler of a foliation command: ``families(args)`` gives its reports."""
     def run(args):
-        rows = [asdict(r) for r in families(args)]
+        rows = [r._asdict() for r in families(args)]
         return EXIT_OK, rows, rows, _FOLIATION_FIELDS
     return run
 

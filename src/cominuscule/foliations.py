@@ -19,7 +19,7 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import catalog_params, cayley
 from .partitions import min_twist_grass, min_twist_lagr, min_twist_spinor
@@ -27,8 +27,7 @@ from .plethysm import DecompositionError
 from .twists import min_twist
 
 
-@dataclass(frozen=True, eq=False)
-class FoliationFamilyReport:
+class FoliationFamilyReport(NamedTuple):
     """One family of foliations, reduced to its numeric invariants."""
 
     space: str

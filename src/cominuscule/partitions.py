@@ -16,9 +16,8 @@ dominance cost and returns every minimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .catalog import catalog_params
 from .rootsys import DecompositionError
@@ -109,8 +108,7 @@ def hooks_qm1(p: int, n: int) -> list[Partition]:
     return sorted(map(dual, hooks_q1(p, n - 1)), reverse=True) if n > 1 else []
 
 
-@dataclass(frozen=True)
-class MinTwistWitness:
+class MinTwistWitness(NamedTuple):
     """Minimum of a dominance cost over a partition class, with all minimizers.
 
     ``criterion`` names the cost that was minimized (one of COST_A, COST_C,

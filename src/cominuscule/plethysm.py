@@ -38,10 +38,10 @@ reverse; the rank identity is checked on every call, cached or not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
 from .partitions import Partition, dual, hooks_q1, hooks_qm1
@@ -57,32 +57,32 @@ class RankIdentityError(DecompositionError):
         self.got = got
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMultiset:
+class WeightMultiset(NamedTuple):
     """Weight multiset of one exterior-power grade, full-group coordinates:
     a dict from weight to count, held as exact Python integers.
-    ``entries`` returns a copy."""
+    ``entries`` returns a copy of ``counts``, which is not to be changed.
+    ``len`` counts distinct weights, so ``_make`` and ``_replace`` do not
+    apply."""
 
     grade: int
-    _entries: dict[Weight, int] = field(repr=False)
+    counts: dict[Weight, int]
 
     @classmethod
     def from_entries(cls, grade: int, entries: dict[Weight, int]) -> "WeightMultiset":
-        return cls(grade=grade, _entries=dict(entries))
+        return cls(grade, dict(entries))
 
     def total(self) -> int:
-        return sum(self._entries.values())
+        return sum(self.counts.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.counts)
 
     @property
     def entries(self) -> dict[Weight, int]:
-        return dict(self._entries)
+        return dict(self.counts)
 
 
-@dataclass(frozen=True)
-class IrreducibleSummand:
+class IrreducibleSummand(NamedTuple):
     """One irreducible homogeneous factor of an exterior power.
 
     ``highest_weight`` carries the full-group coordinates including the
@@ -95,8 +95,7 @@ class IrreducibleSummand:
     twist_check: int
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     spec: GrassmannianSpec
     p: int
     summands: tuple[IrreducibleSummand, ...]
@@ -223,7 +222,7 @@ def decompose(ws: WeightMultiset, spec: GrassmannianSpec) -> list[IrreducibleSum
     formula needs it), every resulting multiplicity is nonnegative, and the
     Levi dimensions add up to the multiset's size.
     """
-    rs, nodes, entries = spec.ambient, spec.levi.nodes, ws._entries
+    rs, nodes, entries = spec.ambient, spec.levi.nodes, ws.counts
     for i in nodes:
         # s_i fixes the weights with w_i = 0 and must map those with w_i > 0
         # onto those with w_i < 0, count for count; an involution that maps

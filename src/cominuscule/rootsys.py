@@ -3,7 +3,8 @@
 Weights are integer tuples in the fundamental-weight basis, with Bourbaki
 node numbering throughout (E6 and E7 are numbered so that the branch node
 attaches at node 4).  All arithmetic is exact and integer: rationals appear
-only in the public ``pairing`` and ``inverse_cartan``; no floating point.
+only in the public ``pairing`` and ``inverse_cartan``, the only places that
+import ``fractions``; no floating point.
 
 Every derived table is read off the simple-root coordinates c(beta) of the
 positive roots and the norms |alpha_i|^2, through parent tables, and one
@@ -39,9 +40,8 @@ lengths) is a ratio of pairings, so the scale is immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from collections import namedtuple
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import prod
 
@@ -77,21 +77,25 @@ def _check_rank(rank: int) -> None:
                          f"MAX_AMBIENT_RANK = {MAX_AMBIENT_RANK}")
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family rank")):
     """A simple Lie type: family letter plus rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("A", "B", "C", "D", "E"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "E" and self.rank not in (6, 7):
+    def __new__(cls, family: str, rank: int):
+        if family not in ("A", "B", "C", "D", "E"):
+            raise ValueError(f"unknown family {family!r}")
+        if family == "E" and rank not in (6, 7):
             raise ValueError("only E6 and E7 are supported")
-        if self.rank < _MIN_RANK[self.family]:
-            raise ValueError(f"{self.family}_{self.rank}: rank too small")
-        _check_rank(self.rank)
+        if rank < _MIN_RANK[family]:
+            raise ValueError(f"{family}_{rank}: rank too small")
+        _check_rank(rank)
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: validate here too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -267,11 +271,16 @@ class RootSystem:
         # 2 h^vee C^{-1}: column j holds the simple-root coordinates of
         # 2 h^vee l_j, and 4 h^vee (l_i, l_j) is |alpha_i|^2 times entry [i][j].
         self.scaled_inverse_cartan = tuple(map(tuple, inv))
-        self.inverse_cartan = tuple(
-            tuple(Fraction(x, two_h) for x in row)
-            for row in self.scaled_inverse_cartan
-        )
         self._weyl_den = prod(_tree_sums(self._chain, self.simple_root_norms))
+
+    @cached_property
+    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+        """C^{-1} as exact rationals: ``scaled_inverse_cartan`` over 2 h^vee."""
+        from fractions import Fraction
+
+        two_h = 2 * self.dual_coxeter
+        return tuple(tuple(Fraction(x, two_h) for x in row)
+                     for row in self.scaled_inverse_cartan)
 
     # -- construction helpers -------------------------------------------------
 
@@ -315,6 +324,8 @@ class RootSystem:
         diagonal of simple-root half-norms, in integers over 4 h^vee;
         symmetric and bilinear.
         """
+        from fractions import Fraction
+
         for w in (a, b):
             self.check_length(w)
         return Fraction(self._pair_scaled(a, b), 4 * self.dual_coxeter)

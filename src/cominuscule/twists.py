@@ -17,7 +17,7 @@ this module's scope and is deliberately not modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tables
 from .catalog import GrassmannianSpec, cayley, freudenthal, iter_catalog_specs
@@ -26,8 +26,7 @@ from .plethysm import DecompositionError, IrreducibleSummand, omega_decompose
 from .rootsys import Weight
 
 
-@dataclass(frozen=True)
-class MinTwistReport:
+class MinTwistReport(NamedTuple):
     """Minimal twist l(p) with its Bott-Borel-Weil witnesses.
 
     ``degree`` is the foliation-degree shift l - p - 1; ``h0_dim`` is the
@@ -125,8 +124,6 @@ def min_twist(spec: GrassmannianSpec, p: int) -> MinTwistReport:
         raise DecompositionError(
             f"{spec.name}, p={p}: the witnesses at l={l} have h0_dim={h0}, "
             f"expected at least 1")
-    # positional: with keywords a frozen dataclass takes about 1.6x as long
-    # to build (CPython 3.11)
     return MinTwistReport(spec, p, l, l - p - 1, witnesses, h0, report.method)
 
 
@@ -148,8 +145,7 @@ def _scan_l(spec: GrassmannianSpec, p: int) -> int:
 # -- low-twist scan ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     space: str
     p: int
     l: int
@@ -158,8 +154,7 @@ class ScanEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class NonvanishingScan:
+class NonvanishingScan(NamedTuple):
     """Evidence table for the low-twist nonvanishing constraints:
     sections at twist 2 force p = 1, and sections at twist 3 force p <= 2
     except on a Lagrangian Grassmannian at p = 3."""
@@ -216,8 +211,7 @@ def nonvanishing_scan(max_rank: int) -> NonvanishingScan:
 # -- audit of the transcribed exceptional tables -------------------------------------
 
 
-@dataclass(frozen=True)
-class TableAuditRow:
+class TableAuditRow(NamedTuple):
     p: int
     computed_weights: tuple[Weight, ...]
     table_weights: tuple[Weight, ...]
@@ -231,8 +225,7 @@ class TableAuditRow:
         return self.weights_match and self.l_match
 
 
-@dataclass(frozen=True)
-class TableAudit:
+class TableAudit(NamedTuple):
     """Row-by-row diff of the computed decomposition against a transcribed
     reference table.
 

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import itertools
 import json
 from math import comb
@@ -172,6 +171,22 @@ def test_table_audit_exit_codes(capsys):
     assert not data["ok"]
     bad = [r for r in data["rows"] if not r["weights_match"]]
     assert [r["p"] for r in bad] == [8]
+
+
+def test_record_fields_follow_the_printed_keys(capsys):
+    # table-audit rows and foliation rows print each record's fields as
+    # JSON keys, in the record's order
+    code, out, _ = run(capsys, "table-audit", "--which", "E7")
+    assert code == 0
+    assert list(json.loads(out)["rows"][0]) == list(twists.TableAuditRow._fields) == [
+        "p", "computed_weights", "table_weights", "weights_match", "computed_l",
+        "table_l", "l_match"]
+    code, out, _ = run(capsys, "foliation", "cayley")
+    assert code == 0
+    assert list(json.loads(out)[0]) == list(
+        foliations.FoliationFamilyReport._fields) == [
+        "space", "p", "l", "degree", "kind", "params", "parameter_space",
+        "tf_rank", "tf_c1", "minimal", "notes"]
 
 
 def test_nonvanishing_cli(capsys):
@@ -354,7 +369,7 @@ def test_verify_lists_a_path_mismatch(capsys, monkeypatch):
     def swapped(spec, p, method="auto"):
         report = real(spec, p, method)
         if (spec.name, p, method) == ("G:2:4", 2, "auto"):
-            return dataclasses.replace(report, summands=report.summands[::-1])
+            return report._replace(summands=report.summands[::-1])
         return report
 
     monkeypatch.setattr(cli, "omega_decompose", swapped)
@@ -376,7 +391,7 @@ def test_verify_lists_a_partition_failure(capsys, monkeypatch):
 def _off_by_one(reports):
     if isinstance(reports, list):
         return [_off_by_one(r) for r in reports]
-    return dataclasses.replace(reports, l=reports.l + 1)
+    return reports._replace(l=reports.l + 1)
 
 
 def _entries(space, p, kinds, family_l, route_l):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from cominuscule import foliations
@@ -157,7 +155,7 @@ def test_a_wrong_cayley_report_raises_a_decomposition_error(monkeypatch, change,
                                                             message):
     real = foliations.min_twist
     monkeypatch.setattr(foliations, "min_twist",
-                        lambda spec, p: dataclasses.replace(real(spec, p), **change))
+                        lambda spec, p: real(spec, p)._replace(**change))
     with pytest.raises(DecompositionError, match=f"^E6, p=8: {message}$"):
         cayley_family()
 

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import comb
@@ -447,7 +446,7 @@ def test_a_dual_summand_that_changes_dimension_names_both(monkeypatch,
     def inflated(spec, weight, p):
         s = real(spec, weight, p)
         if p > spec.dim // 2:
-            s = replace(s, levi_dim=s.levi_dim + 1)
+            s = s._replace(levi_dim=s.levi_dim + 1)
         return s
 
     monkeypatch.setattr(plethysm, "_make_summand", inflated)

@@ -33,7 +33,12 @@ def test_lie_type_validation():
         LieType("D", 2)
     with pytest.raises(ValueError):
         LieType("Z", 3)
+    with pytest.raises(ValueError):
+        LieType("E", 6)._replace(rank=8)
+    with pytest.raises(ValueError):
+        LieType._make(("D", 2))
     assert str(LieType("A", 5)) == "A5"
+    assert LieType("A", 5)._replace(rank=6) == LieType("A", 6)
 
 
 @pytest.mark.parametrize("rank", [4.5, 4.0, "4"])

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cominuscule
 
 SRC = Path(cominuscule.__file__).parent
@@ -91,9 +93,9 @@ def test_every_cache_in_the_library_is_bounded():
     assert not found, found
 
 
-def test_no_module_level_numpy_import():
-    # the library is pure Python: no module imports numpy, at module level
-    # or inside a function
+def _imports_of(package):
+    """Where the library imports a package or one of its modules, at module
+    level or inside a function, as ``file:line``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -104,8 +106,15 @@ def test_no_module_level_numpy_import():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            if any(n == package or n.startswith(package + ".") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_level_numpy_import():
+    # the library is pure Python: no module imports numpy, at module level
+    # or inside a function
+    found = _imports_of("numpy")
     assert not found, found
 
 
@@ -146,6 +155,58 @@ assert forced.summands == omega_decompose(spec, 3).summands
 assert "numpy" not in sys.modules, "numpy imported"
 print("ok")
 """
+
+
+def test_no_library_module_imports_dataclasses():
+    # the record types are named tuples: dataclasses would pull inspect, ast
+    # and dis into every import of the library
+    found = _imports_of("dataclasses")
+    assert not found, found
+
+
+IMPORT_ONLY_RUN = """
+import sys
+import cominuscule, cominuscule.cli
+print(*sorted({"dataclasses", "inspect", "fractions", "decimal", "csv"}
+              & set(sys.modules)))
+"""
+
+
+def test_importing_the_library_loads_no_unneeded_module():
+    # importing is most of a short CLI call: fractions loads only where a
+    # rational is returned, csv only for --format csv, and dataclasses (with
+    # inspect) not at all; -S keeps site hooks from loading any of them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-S", "-c", IMPORT_ONLY_RUN], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
+
+
+def _one_of_each_record():
+    spec = cominuscule.grassmannian(2, 4)
+    scan = cominuscule.nonvanishing_scan(2)
+    audit = cominuscule.table_audit("E6")
+    report = cominuscule.omega_decompose(spec, 2)
+    return [spec.ambient.lie_type, spec, cominuscule.check_table1(spec),
+            cominuscule.min_twist_grass_oracle(2, 4, 2),
+            cominuscule.omega_p_weights(spec, 2), report.summands[0], report,
+            cominuscule.min_twist(spec, 2), scan.entries[0], scan,
+            audit.rows[0], audit, cominuscule.symplectic_family(3, 1)]
+
+
+def test_every_record_refuses_assignment():
+    # the records are immutable, as frozen dataclasses were: a field cannot
+    # be rebound and no attribute can be added
+    records = _one_of_each_record()
+    assert len({type(r) for r in records}) == 13
+    for rec in records:
+        name = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            rec.extra = 0
 
 
 def test_numpy_is_imported_only_by_the_forced_engine():
