@@ -26,7 +26,6 @@ from .catalog import (
     spinor,
     cayley,
     freudenthal,
-    nilradical_roots,
     check_table1,
     iter_catalog_specs,
     parse_space,

@@ -59,17 +59,6 @@ class GrassmannianSpec(NamedTuple):
         return self.name
 
 
-def nilradical_roots(spec: GrassmannianSpec) -> list[Weight]:
-    """Positive roots supported on the marked node, in height order: the
-    radical roots of the spec's Levi.
-
-    For a cominuscule node the marked coefficient is always exactly 1, which
-    the spec checked when it was built; the negatives of these roots are the
-    weights of the cotangent bundle, and there are dim X of them.
-    """
-    return list(spec.levi.radical_roots)
-
-
 # The catalog has 40 specs up to rank 7 and 48 up to rank 8; the cap leaves
 # room for wider sweeps while bounding what a sweep over many spaces keeps.
 SPEC_CACHE_SIZE = 256
@@ -78,6 +67,11 @@ SPEC_CACHE_SIZE = 256
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _build(family: str, params: tuple[int, ...], name: str,
            ambient: RootSystem, node: int) -> GrassmannianSpec:
+    """The spec of the space marked at ``node``.  The radical roots of its
+    Levi, ``levi.radical_roots``, are the positive roots supported on the
+    marked node, in height order; on a cominuscule node each has marked
+    coefficient exactly 1, which is checked here.  Their negatives are the
+    weights of the cotangent bundle, and there are dim X of them."""
     k = node - 1
     levi = LeviSubsystem(ambient, node)
     if any(c[k] != 1 for c in levi.radical_root_coords):

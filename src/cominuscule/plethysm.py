@@ -31,10 +31,11 @@ by subset sums, then Klimyk's formula over the same dot action.
 
 Kostant's route caches the coset points of every grade of a space and
 computes the summands, with their Levi dimensions, only for the grade asked;
-the engine caches the summands of every grade.  Both caches are bounded.
-Answers are cached per (space, p, route) in one bounded cache,
-so a forced engine answer is never served from another route's entry or the
-reverse; the rank identity is checked on every call, cached or not.
+the engine caches the summands of every grade, and a forced answer is read
+from that cache alone.  The answers of the other routes are cached per
+(space, p, route) in one more cache, so no route's answer is served for
+another.  All three caches are bounded, and the rank identity is checked
+on every call, cached or not.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ from math import comb
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .catalog import GrassmannianSpec, grassmannian, nilradical_roots
-from .partitions import Partition, dual, hooks_q1, hooks_qm1
+from .catalog import GrassmannianSpec, grassmannian
+from .partitions import Partition, dual, hooks_q1, hooks_qm1, partitions_in_box
 from .rootsys import DecompositionError, Weight
 
 
@@ -181,11 +182,11 @@ def _summands(spec: GrassmannianSpec, p: int, mult: dict[Weight, int],
 
 def _weight_tables(spec: GrassmannianSpec, top: int) -> list[dict[Weight, int]]:
     """Weight multisets of the exterior powers of the cotangent space in
-    grades 0..top.  A 0/1 knapsack over the negated nilradical roots gives
+    grades 0..top.  A 0/1 knapsack over the negated radical roots gives
     every sum of p distinct roots with its count, up to p = dim // 2; a grade
     p above is the complement of grade dim - p, w -> (sum of all) - w."""
     half = min(top, spec.dim // 2)
-    roots = nilradical_roots(spec)
+    roots = spec.levi.radical_roots
     tables: list[dict[Weight, int]] = [{} for _ in range(half + 1)]
     tables[0][(0,) * spec.ambient.rank] = 1
     for j, root in enumerate(roots):
@@ -202,7 +203,7 @@ def _weight_tables(spec: GrassmannianSpec, top: int) -> list[dict[Weight, int]]:
 
 def omega_p_weights(spec: GrassmannianSpec, p: int) -> WeightMultiset:
     """Weight multiset of the p-th exterior power of the cotangent bundle:
-    all sums of p distinct negated nilradical roots."""
+    all sums of p distinct negated radical roots."""
     if not 0 <= p <= spec.dim:
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
     return WeightMultiset(p, _weight_tables(spec, p)[p])
@@ -290,7 +291,7 @@ def _newton_grade(spec: GrassmannianSpec, levels: list, p: int, steps: int
     """
     rs, nodes = spec.ambient, spec.levi.nodes
     shifted = rs.shifted_dominant
-    roots = nilradical_roots(spec)  # V has the weights mu = -root
+    roots = spec.levi.radical_roots  # V has the weights mu = -root
     acc: dict[Weight, int] = {}
     for i in range(1, p + 1):
         scaled = [[-i * x for x in root] for root in roots]
@@ -345,11 +346,6 @@ def _engine_levels(spec: GrassmannianSpec) -> tuple[tuple[IrreducibleSummand, ..
         dual = (_dual_summand(spec, s, p) for s in levels[spec.dim - p])
         levels.append(tuple(sorted(dual, key=lambda s: s.highest_weight, reverse=True)))
     return tuple(levels)
-
-
-def _dp_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:
-    """Engine summands of grade p, read off the cached levels of the space."""
-    return _engine_levels(spec)[p]
 
 
 # -- Kostant's theorem -------------------------------------------------------------
@@ -426,8 +422,6 @@ def cauchy_decompose(k: int, n: int, p: int
     spec = grassmannian(k, n)
     if not 0 <= p <= k * (n - k):
         raise ValueError(f"p={p} out of range 0..{k * (n - k)}")
-    from .partitions import partitions_in_box
-
     out = []
     for mu in partitions_in_box(p, k, n - k):
         mud = dual(mu)
@@ -467,27 +461,24 @@ def hooks_decompose(spec: GrassmannianSpec, p: int
 
 # -- the public decomposition entry point -------------------------------------------
 
-# verify --max-rank 7 fills 829 answers and the query-mix benchmark 542; the
+# verify --max-rank 7 fills 429 answers and the query-mix benchmark 542; the
 # cap leaves room for both while bounding what a long-running process keeps.
+# The engine's grades are not kept here: ``_engine_levels`` holds them.
 ANSWER_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=ANSWER_CACHE_SIZE)
 def _route_summands(spec: GrassmannianSpec, p: int, route: str
                     ) -> tuple[IrreducibleSummand, ...]:
-    """Summands of grade p by one route, computed once per (spec, p, route).
-
-    The route is part of the key, so the engine's answer is never served
-    for another route or the reverse.  Threads missing the same key may
-    both compute it; the answers are equal.
+    """Summands of grade p by one of the routes that build a grade at a
+    time, computed once per (spec, p, route).  Threads missing the same key
+    may both compute it; the answers are equal.
     """
     if route == "CauchyA":
         return tuple(s for _, s in cauchy_decompose(*spec.params, p))
     if route in ("HooksC", "HooksD"):
         return tuple(s for _, s in hooks_decompose(spec, p))
-    if route == "Kostant":
-        return _kostant_summands(spec, p)
-    return _dp_summands(spec, p)
+    return _kostant_summands(spec, p)
 
 
 # The route ``method="auto"`` takes for each family.
@@ -514,9 +505,11 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
         raise ValueError(f"p={p} out of range 0..{spec.dim} for {spec.name}")
     if method not in ("auto", "WeightDP"):
         raise ValueError(f"unknown method {method!r}; expected auto or WeightDP")
-    chosen = "WeightDP" if method == "WeightDP" else _AUTO_ROUTES[spec.family]
-
-    summands = _route_summands(spec, p, chosen)
+    if method == "WeightDP":
+        chosen, summands = method, _engine_levels(spec)[p]
+    else:
+        chosen = _AUTO_ROUTES[spec.family]
+        summands = _route_summands(spec, p, chosen)
     report = DecompositionReport(spec, p, summands, chosen)
     expected, got = report.rank_identity()
     if expected != got:

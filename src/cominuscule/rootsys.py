@@ -585,9 +585,6 @@ class LeviSubsystem:
     def is_dominant(self, w: Weight) -> bool:
         return all(w[i] >= 0 for i in self.nodes)
 
-    def dominant_representative(self, w: Weight) -> Weight:
-        return self.ambient.dominant_representative(w, self.nodes)
-
     def weyl_dim(self, w: Weight) -> int:
         """Dimension of the irreducible Levi module with highest weight w."""
         v = self.ambient._chain_values(w)
@@ -629,7 +626,7 @@ class LeviSubsystem:
         """Highest weight of the dual Levi module: the dominant representative
         of -w under the Levi Weyl group."""
         self.ambient.check_length(w)
-        return self.dominant_representative(negate(w))
+        return self.ambient.dominant_representative(negate(w), self.nodes)
 
     def __repr__(self) -> str:
         return f"LeviSubsystem({self.ambient.lie_type}, node={self.node})"
@@ -641,15 +638,15 @@ ROOT_SYSTEM_CACHE_SIZE = 64
 
 
 def root_system(family: str, rank: int | None = None) -> RootSystem:
-    """Cached root-system factory.  Accepts ('A', 4) or 'E6' style arguments.
-    The rank is checked against ``MAX_AMBIENT_RANK`` before the cache is
-    read."""
+    """Cached root-system factory.  Accepts ('A', 4) or 'E6' style arguments;
+    a label's family letter may be lower case, as in 'e6'.  The rank is
+    checked against ``MAX_AMBIENT_RANK`` before the cache is read."""
     if rank is None:
         family, rank = family[:1], family[1:]
         if not (family.isalpha() and rank.isascii() and rank.isdigit()):
             raise ValueError(f"bad root system label {family + rank!r}: expected "
                              "a family letter and a rank, such as A4 or E6")
-        rank = int(rank)
+        family, rank = family.upper(), int(rank)
     elif not isinstance(rank, int):
         raise ValueError(f"bad rank {rank!r} for root system family {family!r}: "
                          "expected an integer")

@@ -10,7 +10,6 @@ from cominuscule.catalog import (
     iter_catalog_specs,
     lagrangian,
     make_spec,
-    nilradical_roots,
     parse_space,
     quadric,
     spinor,
@@ -56,11 +55,11 @@ def test_make_spec_dispatch_and_errors():
 
 
 def test_nilradical_counts():
-    assert len(nilradical_roots(grassmannian(1, 7))) == 6
-    assert len(nilradical_roots(cayley())) == 16
-    assert len(nilradical_roots(spinor(5))) == 10
+    assert len(grassmannian(1, 7).levi.radical_roots) == 6
+    assert len(cayley().levi.radical_roots) == 16
+    assert len(spinor(5).levi.radical_roots) == 10
     for spec in iter_catalog_specs(6):
-        assert len(nilradical_roots(spec)) == spec.dim
+        assert len(spec.levi.radical_roots) == spec.dim
 
 
 def test_a_node_that_is_not_cominuscule_is_refused_at_build_time():
@@ -73,7 +72,7 @@ def test_a_node_that_is_not_cominuscule_is_refused_at_build_time():
 def test_nilradical_sum_is_index_times_fundamental(max_rank):
     for spec in iter_catalog_specs(max_rank):
         total = [0] * spec.ambient.rank
-        for root in nilradical_roots(spec):
+        for root in spec.levi.radical_roots:
             for i, x in enumerate(root):
                 total[i] += x
         expected = [0] * spec.ambient.rank
@@ -83,7 +82,7 @@ def test_nilradical_sum_is_index_times_fundamental(max_rank):
 
 def test_cotangent_weight_is_negated_minimal_nilradical_root():
     for spec in iter_catalog_specs(6):
-        roots = nilradical_roots(spec)
+        roots = spec.levi.radical_roots
         rs = spec.ambient
         height = {r: sum(c) for r, c in zip(rs.positive_roots,
                                             rs.positive_root_coords)}

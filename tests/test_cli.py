@@ -17,10 +17,14 @@ def run(capsys, *argv):
 
 
 def test_rootsys_dump(capsys):
-    code, out, _ = run(capsys, "rootsys", "dump", "--type", "E6")
-    assert code == 0
+    code, out, err = run(capsys, "rootsys", "dump", "--type", "E6")
+    assert (code, err) == (0, "")
     data = json.loads(out)
     assert data["rank"] == 6 and data["positive_root_count"] == 36
+    # the family letter is read in either case, as the space grammar's heads are
+    assert run(capsys, "rootsys", "dump", "--type", "e6") == (code, out, err)
+    assert (run(capsys, "rootsys", "dump", "--type", "a4")
+            == run(capsys, "rootsys", "dump", "--type", "A4"))
 
 
 def test_catalog_list_and_show(capsys):
@@ -495,7 +499,7 @@ def test_verify_pool_builds_each_dp_table_once(cold_answers):
     passes = plethysm._engine_levels.cache_info()
     assert passes.misses == passes.currsize == len(engine_spaces) == 39
     answers = plethysm._route_summands.cache_info()
-    assert answers.misses == answers.currsize
+    assert answers.misses == answers.currsize == 429
 
 
 def test_output_determinism(capsys):

@@ -14,7 +14,6 @@ from cominuscule.catalog import (
     grassmannian,
     iter_catalog_specs,
     lagrangian,
-    nilradical_roots,
     quadric,
     spinor,
 )
@@ -244,11 +243,12 @@ def test_the_slope_dot_product_agrees_with_the_lemma_up_to_rank_7(cold_answers):
     # and it refuses, as the lemma does, the marked coordinate moved by one
     for spec in iter_catalog_specs(7):
         k = spec.marked_node - 1
-        routes = {plethysm._AUTO_ROUTES[spec.family], "Kostant", "WeightDP"}
+        routes = {plethysm._AUTO_ROUTES[spec.family], "Kostant"}
         for p in range(spec.dim + 1):
+            answers = [plethysm._route_summands(spec, p, route) for route in routes]
+            answers.append(plethysm._engine_levels(spec)[p])
             weights = {s.highest_weight: s.twist_check
-                       for route in routes
-                       for s in plethysm._route_summands(spec, p, route)}
+                       for answer in answers for s in answer}
             for w, twist in weights.items():
                 levi_part = tuple(0 if i == k else x for i, x in enumerate(w))
                 assert twist_via_lemma(spec, levi_part, p) == twist == w[k]
@@ -323,13 +323,13 @@ def test_engine_stops_at_half_the_dimension(engine_horizons, cold_answers):
 
 
 def test_engine_weights_match_brute_force():
-    # every sum of p distinct negated nilradical roots, counted directly;
+    # every sum of p distinct negated radical roots, counted directly;
     # grades above dim // 2 are the complements of grades below
     specs = [s for s in iter_catalog_specs(10) if s.dim <= 10]
     assert {s.family for s in specs} >= {"grassmannian", "quadric_odd",
                                           "quadric_even", "lagrangian", "spinor"}
     for spec in specs:
-        vectors = [negate(r) for r in nilradical_roots(spec)]
+        vectors = [negate(r) for r in spec.levi.radical_roots]
         for p in range(spec.dim + 1):
             brute = Counter(tuple(map(sum, zip(*subset))) if subset
                             else (0,) * spec.ambient.rank
@@ -529,16 +529,23 @@ def test_report_sorted_descending():
 
 
 def _spy_routes(monkeypatch):
-    """Record (route, p) for every fast-path and engine run."""
+    """Record (route, p) for every fast-path run, and ("WeightDP", space)
+    for every engine pass, which starts at grade 1."""
     ran = []
     for name, route in (("cauchy_decompose", "CauchyA"),
-                        ("hooks_decompose", "Hooks"),
-                        ("_dp_summands", "WeightDP")):
+                        ("hooks_decompose", "Hooks")):
         def spy(*args, _real=getattr(plethysm, name), _route=route):
             ran.append((_route, args[-1]))
             return _real(*args)
 
         monkeypatch.setattr(plethysm, name, spy)
+
+    def engine(spec, levels, p, steps, _real=plethysm._newton_grade):
+        if p == 1:
+            ran.append(("WeightDP", spec.name))
+        return _real(spec, levels, p, steps)
+
+    monkeypatch.setattr(plethysm, "_newton_grade", engine)
     return ran
 
 
@@ -552,16 +559,19 @@ def test_answer_cache_runs_each_fast_path_once(monkeypatch, cold_answers):
 
 def test_answer_cache_keeps_routes_apart(monkeypatch, cold_answers):
     # a forced engine answer is never served from a fast-path entry, nor the
-    # reverse, so verify's cross-check never compares an answer with itself
+    # reverse, so verify's cross-check never compares an answer with itself:
+    # the engine's grades come from its own pass and its level cache alone
     for spec, fast in ((grassmannian(3, 6), "CauchyA"), (lagrangian(3), "Hooks"),
                        (spinor(5), "Hooks")):
         ran = _spy_routes(monkeypatch)
         omega_decompose(spec, 2)
-        omega_decompose(spec, 2, method="WeightDP")
+        answers = plethysm._route_summands.cache_info()
+        forced = omega_decompose(spec, 2, method="WeightDP")
         omega_decompose(spec, 3, method="WeightDP")
+        assert plethysm._route_summands.cache_info() == answers, spec.name
+        assert forced.summands is plethysm._engine_levels(spec)[2], spec.name
         omega_decompose(spec, 3)
-        assert ran == [(fast, 2), ("WeightDP", 2), ("WeightDP", 3), (fast, 3)], \
-            spec.name
+        assert ran == [(fast, 2), ("WeightDP", spec.name), (fast, 3)], spec.name
         monkeypatch.undo()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cominuscule import rootsys
-from cominuscule.catalog import iter_catalog_specs, nilradical_roots
+from cominuscule.catalog import iter_catalog_specs
 from cominuscule.rootsys import (
     DecompositionError, LeviSubsystem, LieType, RootSystem, is_dominant, negate,
     root_system)
@@ -49,6 +49,13 @@ def test_a_rank_that_is_not_an_integer_is_refused(rank):
     assert str(err.value) == (f"bad rank {rank!r} for root system family 'A': "
                               "expected an integer")
     assert rootsys._root_system.cache_info() == roots
+
+
+def test_a_label_reads_its_family_letter_in_either_case():
+    # the label form is forgiving, the (family, rank) form stays strict
+    assert root_system("e6") is root_system("E6") is root_system("E", 6)
+    with pytest.raises(ValueError, match="^unknown family 'e'$"):
+        root_system("e", 6)
 
 
 def test_the_rank_cap_is_checked_before_the_cache(monkeypatch):
@@ -347,9 +354,9 @@ def test_levi_and_radical_trees(spec):
     assert [c for c in levi.radical_root_coords if sum(c) == 1] == [
         tuple(int(j == k) for j in range(spec.ambient.rank))]
     ambient = spec.ambient
-    assert nilradical_roots(spec) == [
+    assert spec.levi.radical_roots == tuple(
         root for root, c in zip(ambient.positive_roots, ambient.positive_root_coords)
-        if c[k] == 1]
+        if c[k] == 1)
 
 
 def test_parent_table_refuses_a_missing_link():

@@ -111,6 +111,34 @@ def _imports_of(package):
     return found
 
 
+def _imported_modules(node):
+    """The modules an import statement names, a relative one inside the
+    library's package; empty for any other statement."""
+    if isinstance(node, ast.Import):
+        return {a.name for a in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if not node.level:
+        return {node.module}
+    if node.module is None:  # from . import catalog, ...
+        return {f"cominuscule.{a.name}" for a in node.names}
+    return {f"cominuscule.{node.module}"}
+
+
+def test_no_function_imports_a_module_the_library_already_loads():
+    # an import inside a function is for a module no answer needs, such as
+    # fractions in rootsys and csv in cli; one that some module imports at
+    # module level is loaded anyway, and importing it again costs every call
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    loaded = set().union(*(_imported_modules(node) for tree in trees.values()
+                           for node in tree.body))
+    found = sorted({f"{name}:{node.lineno}" for name, tree in trees.items()
+                    for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if _imported_modules(node) & loaded})
+    assert not found, found
+
+
 def test_no_module_level_numpy_import():
     # the library is pure Python: no module imports numpy, at module level
     # or inside a function
