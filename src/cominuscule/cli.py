@@ -1,14 +1,14 @@
 """Command-line interface.
 
 Exit codes are a contract for CI use: 0 means every requested check passed,
-1 means a mathematical mismatch was found (for example a table-audit diff or
-a scan violation), 2 means a usage error (including an --out path that
-cannot be written), 3 means an internal failure (a
-consistency check inside the library raised, or an internal limit was hit),
-reported as one ``internal error: <Type>: <message>`` line on stderr.  All
-configuration is by flags;
-output is deterministic for fixed inputs, with result assembly order-fixed
-by sorting rather than by completion order.
+1 means a mathematical mismatch was found (a table-audit diff, a scan
+violation, or any failure ``verify`` lists, a rank-identity failure on any
+space included), 2 means a usage error (including an --out path that cannot
+be written), 3 means an internal failure (a consistency check inside the
+library raised, or an internal limit was hit), reported as one
+``internal error: <Type>: <message>`` line on stderr.  All configuration is
+by flags; output is deterministic for fixed inputs, with result assembly
+order-fixed by sorting rather than by completion order.
 """
 
 from __future__ import annotations
@@ -84,26 +84,27 @@ _FOLIATION_FIELDS = ["space", "p", "l", "degree", "kind", "params",
 # -- verify components ---------------------------------------------------------------
 
 
-def _component(name, checked, failures):
+def _component(name, results) -> dict:
+    """One verify component from one result per case that ran: None when the
+    case passed, else its failure record; ``checked`` counts the results.  A
+    case needing a grade whose auto route fails the rank identity (an atlas
+    row, an engine comparison, a table audit, the nonvanishing scan) does
+    not run and adds no result: the rank-identity component lists it (dim <= 36)."""
+    failures = [r for r in results if r is not None]
     return {
         "name": name,
         "ok": not failures,
-        "checked": checked,
+        "checked": len(results),
         "failures": failures[:50],
     }
 
 
 def _verify_partitions(max_rank: int) -> dict:
-    failures = []
-    checked = 0
-    for family in ("A", "C", "D"):
-        for k, n, p, f, o in partitions.closed_form_cases(family, max_rank):
-            checked += 1
-            if f != o.l:
-                failures.append({"family": family,
-                                 **({"k": k} if family == "A" else {}),
-                                 "n": n, "p": p, "formula_l": f, "oracle_l": o.l})
-    return _component("partition formula vs oracle", checked, failures)
+    return _component("partition formula vs oracle", [
+        None if f == o.l else {"family": family, **({"k": k} if family == "A" else {}),
+                               "n": n, "p": p, "formula_l": f, "oracle_l": o.l}
+        for family in ("A", "C", "D")
+        for k, n, p, f, o in partitions.closed_form_cases(family, max_rank)])
 
 
 def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
@@ -119,9 +120,10 @@ def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
             try:
                 fast = omega_decompose(spec, p)
             except RankIdentityError as exc:
-                fast = None
                 ranks.append({"space": spec.name, "p": p,
                               "expected": exc.expected, "got": exc.got})
+                continue
+            ranks.append(None)
             if spec.dim > 27:
                 continue
             try:
@@ -130,65 +132,63 @@ def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
                 paths.append({"space": spec.name, "p": p, "method": "WeightDP",
                               "expected": exc.expected, "got": exc.got})
                 continue
-            if fast is not None and fast.weights() != dp.weights():
-                paths.append({"space": spec.name, "p": p,
-                              "fast": [list(w) for w in fast.weights()],
-                              "dp": [list(w) for w in dp.weights()]})
+            paths.append(None if fast.weights() == dp.weights() else {
+                "space": spec.name, "p": p,
+                "fast": [list(w) for w in fast.weights()],
+                "dp": [list(w) for w in dp.weights()]})
         return paths, ranks
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(check, specs))
     return [
         _component("fast path vs weight engine",
-                   sum(s.dim + 1 for s in specs if s.dim <= 27),
-                   [f for paths, _ in results for f in paths]),
-        _component("rank identity", sum(s.dim + 1 for s in specs),
-                   [f for _, ranks in results for f in ranks]),
+                   [r for paths, _ in results for r in paths]),
+        _component("rank identity", [r for _, ranks in results for r in ranks]),
     ]
 
 
 def _verify_tables(max_rank: int) -> dict:
-    failures = []
-    checked = 0
+    results = []
     params = catalog.catalog_params(max_rank)
     for which, family in (("E6", "cayley"), ("E7", "freudenthal")):
         if not params[family]:
             continue
-        audit = twists.table_audit(which)
-        checked += len(audit.rows)
-        for row in audit.mismatches:
-            failures.append({
-                "table": which, "p": row.p,
-                "computed": [list(w) for w in row.computed_weights],
-                "table_value": [list(w) for w in row.table_weights],
-                "computed_l": row.computed_l, "table_l": row.table_l,
-            })
-    return _component("table audit", checked, failures)
+        try:
+            audit = twists.table_audit(which)
+        except RankIdentityError:
+            continue
+        results += [None if row.ok else {
+            "table": which, "p": row.p,
+            "computed": [list(w) for w in row.computed_weights],
+            "table_value": [list(w) for w in row.table_weights],
+            "computed_l": row.computed_l, "table_l": row.table_l,
+        } for row in audit.rows]
+    return _component("table audit", results)
 
 
 def _verify_nonvanishing(max_rank: int) -> dict:
-    scan = twists.nonvanishing_scan(max_rank)
-    failures = [{"space": e.space, "p": e.p, "l": e.l, "note": e.note}
-                for e in scan.violations]
-    return _component("low-twist nonvanishing scan", len(scan.entries), failures)
+    try:
+        entries = twists.nonvanishing_scan(max_rank).entries
+    except RankIdentityError:
+        entries = ()
+    return _component("low-twist nonvanishing scan", [
+        {"space": e.space, "p": e.p, "l": e.l, "note": e.note}
+        if e.status == "violation" else None for e in entries])
 
 
 def _verify_families(max_rank: int) -> dict:
     """Every row of the foliation atlas is minimal: its normal twist l is the
-    l(p) read off its space's auto route.  A grade that fails the rank
-    identity is left uncounted; the rank-identity component lists it."""
-    failures = []
-    checked = 0
+    l(p) read off its space's auto route."""
+    results = []
     for fam in foliations.foliation_atlas(max_rank):
         try:
             route_l = twists.route_l(catalog.parse_space(fam.space), fam.p)
         except RankIdentityError:
             continue
-        checked += 1
-        if fam.l != route_l:
-            failures.append({"space": fam.space, "p": fam.p, "kind": fam.kind,
-                             "family_l": fam.l, "route_l": route_l})
-    return _component("foliation family twist consistency", checked, failures)
+        results.append(None if fam.l == route_l else {
+            "space": fam.space, "p": fam.p, "kind": fam.kind,
+            "family_l": fam.l, "route_l": route_l})
+    return _component("foliation family twist consistency", results)
 
 
 def run_verify(max_rank: int = 6, jobs: int | None = None) -> tuple[int, dict]:

@@ -468,12 +468,12 @@ ANSWER_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=ANSWER_CACHE_SIZE)
-def _route_summands(spec: GrassmannianSpec, p: int, route: str
-                    ) -> tuple[IrreducibleSummand, ...]:
-    """Summands of grade p by one of the routes that build a grade at a
-    time, computed once per (spec, p, route).  Threads missing the same key
-    may both compute it; the answers are equal.
+def _route_summands(spec: GrassmannianSpec, p: int) -> tuple[IrreducibleSummand, ...]:
+    """Summands of grade p by the route ``method="auto"`` takes for the
+    family, computed once per (spec, p).  Threads missing the same key may
+    both compute it; the answers are equal.
     """
+    route = _AUTO_ROUTES[spec.family]
     if route == "CauchyA":
         return tuple(s for _, s in cauchy_decompose(*spec.params, p))
     if route in ("HooksC", "HooksD"):
@@ -509,7 +509,7 @@ def omega_decompose(spec: GrassmannianSpec, p: int, method: str = "auto"
         chosen, summands = method, _engine_levels(spec)[p]
     else:
         chosen = _AUTO_ROUTES[spec.family]
-        summands = _route_summands(spec, p, chosen)
+        summands = _route_summands(spec, p)
     report = DecompositionReport(spec, p, summands, chosen)
     expected, got = report.rank_identity()
     if expected != got:

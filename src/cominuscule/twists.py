@@ -133,15 +133,6 @@ def route_l(spec: GrassmannianSpec, p: int) -> int:
     return _min_l(spec, omega_decompose(spec, p).summands)
 
 
-def _scan_l(spec: GrassmannianSpec, p: int) -> int:
-    """l(p) for batch scans: closed form where available, the decomposition
-    otherwise."""
-    formula = closed_form_l(spec, p)
-    if formula is not None:
-        return formula
-    return route_l(spec, p)
-
-
 # -- low-twist scan ---------------------------------------------------------------
 
 
@@ -184,13 +175,17 @@ def _is_lagrangian_class(spec: GrassmannianSpec) -> str | None:
 def nonvanishing_scan(max_rank: int) -> NonvanishingScan:
     """Check every catalog space up to the given ambient rank, all p.
 
-    Emits one entry per (space, p); entries with l(p) <= 3 get classified as
-    confirmations, permitted Lagrangian p = 3 exceptions, or violations.
+    Emits one entry per (space, p), its l(p) the closed form where there is
+    one and read off the auto route otherwise; entries with l(p) <= 3 get
+    classified as confirmations, permitted Lagrangian p = 3 exceptions, or
+    violations.
     """
     entries: list[ScanEntry] = []
     for spec in iter_catalog_specs(max_rank):
         for p in range(1, spec.dim + 1):
-            l = _scan_l(spec, p)
+            l = closed_form_l(spec, p)
+            if l is None:
+                l = route_l(spec, p)
             status = "ok"
             note = ""
             if l <= 2 and p != 1:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 from math import comb
@@ -329,6 +330,59 @@ def test_verify_leaves_a_family_grade_that_fails_the_rank_identity(
     assert all(c["ok"] for c in components.values())
 
 
+def test_verify_lists_an_exceptional_rank_identity_failure(capsys, monkeypatch,
+                                                           cold_answers):
+    # Kostant's route drops the first summand of E6 p = 4 and E7 p = 5: a
+    # listed mismatch, as on Q:5; the engine comparison of each grade, both
+    # table audits and the scan, which reads E6 and E7 off the auto route,
+    # do not run and are not counted
+    real = plethysm._kostant_summands
+
+    def lossy(spec, p):
+        summands = real(spec, p)
+        return summands[1:] if (spec.name, p) in (("E6", 4), ("E7", 5)) \
+            else summands
+
+    monkeypatch.setattr(plethysm, "_kostant_summands", lossy)
+    code, out, err = run(capsys, "verify", "--max-rank", "7")
+    assert code == 1 and err == ""
+    components = {c["name"]: c for c in json.loads(out)["components"]}
+    assert components.pop("rank identity")["failures"] == [
+        {"space": "E6", "p": 4, "expected": 1820, "got": 770},
+        {"space": "E7", "p": 5, "expected": 80730, "got": 34398}]
+    assert all(c["ok"] for c in components.values())
+    assert components["fast path vs weight engine"]["checked"] == 398
+    assert components["table audit"]["checked"] < 41
+    assert components["low-twist nonvanishing scan"]["checked"] < 389
+    # the standalone commands have no rank-identity component to list it in
+    for argv in (["table-audit", "--which", "E6"],
+                 ["nonvanishing", "--max-rank", "7"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err == ("internal error: RankIdentityError: E6, p=4, Kostant: "
+                       "rank identity failed (770 != 1820)\n"), argv
+
+
+def test_verify_counts_the_grades_its_calls_answered(monkeypatch):
+    # each space component counts the grades on which its own calls
+    # returned, one call per grade and route, not a count made beside them
+    answered = []
+    real = cli.omega_decompose
+
+    def spy(spec, p, method="auto"):
+        report = real(spec, p, method)
+        answered.append((method, spec.name, p))
+        return report
+
+    monkeypatch.setattr(cli, "omega_decompose", spy)
+    code, report = cli.run_verify(5)
+    components = {c["name"]: c["checked"] for c in report["components"]}
+    assert code == 0 and len(set(answered)) == len(answered)
+    methods = [method for method, _, _ in answered]
+    assert components["rank identity"] == methods.count("auto")
+    assert components["fast path vs weight engine"] == methods.count("WeightDP")
+
+
 def test_run_verify_refuses_a_rank_below_two():
     with pytest.raises(ValueError, match="^--max-rank must be at least 2$"):
         cli.run_verify(1)
@@ -439,6 +493,17 @@ def test_verify_at_rank_seven_checks_the_pinned_counts():
     failed = {c["name"]: c["failures"] for c in report["components"] if not c["ok"]}
     assert list(failed) == ["table audit"]
     assert [(f["table"], f["p"]) for f in failed["table audit"]] == [("E6", 8)]
+
+
+def test_verify_output_is_pinned(capsys):
+    # the stdout of the CI command verify --max-rank 7, byte for byte; a
+    # change that means to alter it updates the digest and says so
+    for max_rank, digest in (
+            ("6", "ea59e57fb72a521c39c52d90fb881e115d08b70d09f19386a758f9ff89599a93"),
+            ("7", "c856a1fca3fb741b1b6bba4e14600a55523df14fbff63eacc8b31003285c549c")):
+        code, out, err = run(capsys, "verify", "--max-rank", max_rank)
+        assert (code, err) == (1, ""), max_rank
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, max_rank
 
 
 def test_cli_options_are_pinned():

@@ -243,10 +243,10 @@ def test_the_slope_dot_product_agrees_with_the_lemma_up_to_rank_7(cold_answers):
     # and it refuses, as the lemma does, the marked coordinate moved by one
     for spec in iter_catalog_specs(7):
         k = spec.marked_node - 1
-        routes = {plethysm._AUTO_ROUTES[spec.family], "Kostant"}
         for p in range(spec.dim + 1):
-            answers = [plethysm._route_summands(spec, p, route) for route in routes]
-            answers.append(plethysm._engine_levels(spec)[p])
+            answers = [plethysm._route_summands(spec, p),
+                       plethysm._kostant_summands(spec, p),
+                       plethysm._engine_levels(spec)[p]]
             weights = {s.highest_weight: s.twist_check
                        for answer in answers for s in answer}
             for w, twist in weights.items():
@@ -573,6 +573,19 @@ def test_answer_cache_keeps_routes_apart(monkeypatch, cold_answers):
         omega_decompose(spec, 3)
         assert ran == [(fast, 2), ("WeightDP", spec.name), (fast, 3)], spec.name
         monkeypatch.undo()
+
+
+def test_answer_cache_takes_the_route_from_the_family(cold_answers):
+    # the cache is keyed by (spec, p) alone: no caller names a route, so no
+    # name can be answered by the wrong route
+    assert plethysm._route_summands(grassmannian(3, 6), 2) == tuple(
+        s for _, s in plethysm.cauchy_decompose(3, 6, 2))
+    assert plethysm._route_summands(lagrangian(3), 2) == tuple(
+        s for _, s in plethysm.hooks_decompose(lagrangian(3), 2))
+    assert plethysm._route_summands(quadric(5), 2) == \
+        plethysm._kostant_summands(quadric(5), 2)
+    with pytest.raises(TypeError):
+        plethysm._route_summands(quadric(5), 2, "WeightDP")
 
 
 def test_rank_identity_checked_on_cached_answers(monkeypatch, cold_answers):
