@@ -7,8 +7,7 @@ space included), 2 means a usage error (including an --out path that cannot
 be written), 3 means an internal failure (a consistency check inside the
 library raised, or an internal limit was hit), reported as one
 ``internal error: <Type>: <message>`` line on stderr.  All configuration is
-by flags; output is deterministic for fixed inputs, with result assembly
-order-fixed by sorting rather than by completion order.
+by flags, and output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,13 +81,15 @@ _FOLIATION_FIELDS = ["space", "p", "l", "degree", "kind", "params",
 
 # -- verify components ---------------------------------------------------------------
 
+_RANK_IDENTITY_MAX_DIM = 36
+
 
 def _component(name, results) -> dict:
     """One verify component from one result per case that ran: None when the
     case passed, else its failure record; ``checked`` counts the results.  A
-    case needing a grade whose auto route fails the rank identity (an atlas
-    row, an engine comparison, a table audit, the nonvanishing scan) does
-    not run and adds no result: the rank-identity component lists it (dim <= 36)."""
+    case needing a grade whose auto route fails the rank identity (an engine
+    comparison, a table audit, the scan, an atlas row) does not run, and the
+    rank identity lists the grade; above its cap the family check lists the row."""
     failures = [r for r in results if r is not None]
     return {
         "name": name,
@@ -108,11 +108,12 @@ def _verify_partitions(max_rank: int) -> dict:
 
 
 def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
-    """The rank identity of the auto route on every catalog space with
-    dim <= 36, and for dim <= 27 the auto route against the forced weight
-    engine: one pool task per space asks each grade once per route, in
-    order, so no two threads run the engine pass of one space."""
-    specs = [s for s in catalog.iter_catalog_specs(max_rank) if s.dim <= 36]
+    """The rank identity of the auto route on every catalog space up to
+    _RANK_IDENTITY_MAX_DIM, and up to dim 27 the auto route against the forced
+    engine.  One task per space asks each grade once per route, so no two
+    workers share an engine pass; by default one worker runs them in order."""
+    specs = [s for s in catalog.iter_catalog_specs(max_rank)
+             if s.dim <= _RANK_IDENTITY_MAX_DIM]
 
     def check(spec):
         paths, ranks = [], []
@@ -181,24 +182,26 @@ def _verify_families(max_rank: int) -> dict:
     l(p) read off its space's auto route."""
     results = []
     for fam in foliations.foliation_atlas(max_rank):
+        spec = catalog.parse_space(fam.space)
+        row = {"space": fam.space, "p": fam.p, "kind": fam.kind}
         try:
-            route_l = twists.route_l(catalog.parse_space(fam.space), fam.p)
-        except RankIdentityError:
+            route_l = twists.route_l(spec, fam.p)
+        except RankIdentityError as exc:
+            if spec.dim > _RANK_IDENTITY_MAX_DIM:
+                results.append({**row, "expected": exc.expected, "got": exc.got})
             continue
         results.append(None if fam.l == route_l else {
-            "space": fam.space, "p": fam.p, "kind": fam.kind,
-            "family_l": fam.l, "route_l": route_l})
+            **row, "family_l": fam.l, "route_l": route_l})
     return _component("foliation family twist consistency", results)
 
 
-def run_verify(max_rank: int = 6, jobs: int | None = None) -> tuple[int, dict]:
-    """Run the batch verification suite; returns (exit_code, report)."""
+def run_verify(max_rank: int = 6, jobs: int = 1) -> tuple[int, dict]:
+    """Run the batch verification suite; returns (exit_code, report).  Only
+    the benchmark's pool test passes ``jobs`` (until ROADMAP item 1(c))."""
     if max_rank < 2:
         raise ValueError("--max-rank must be at least 2")
-    if jobs is None:
-        jobs = min(8, os.cpu_count() or 1)
-    elif jobs < 1:
-        raise ValueError("--jobs must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     components = [
         _verify_partitions(max_rank),
         *_verify_spaces(max_rank, jobs),
@@ -298,7 +301,7 @@ def _foliation(families):
 
 
 def _verify(args):
-    code, report = run_verify(max_rank=args.max_rank, jobs=args.jobs)
+    code, report = run_verify(max_rank=args.max_rank)
     return code, report, report["components"], ["name", "ok", "checked"]
 
 
@@ -377,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "verify", "batch verification suite", _verify)
     p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=None)
 
     # after each command's own options, as --help lists them
     for p in leaves:

@@ -232,20 +232,41 @@ def test_verify_small_run(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] and len(data["components"]) == 6
-    # --jobs below 1 is a usage error; -3 used to run one thread and exit 0
-    for jobs in ("0", "-3"):
-        code, out, err = run(capsys, "verify", "--max-rank", "2", "--jobs", jobs)
-        assert code == 2 and out == "", jobs
-        assert err == "error: --jobs must be at least 1\n", jobs
+    # a pool of fewer than one worker is refused; -3 used to run one thread
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="^jobs must be at least 1$"):
+            cli.run_verify(2, jobs=jobs)
+    # the command takes no worker count
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-rank", "2", "--jobs", "1"])
+    assert exc.value.code == 2
 
 
 def test_verify_output_does_not_depend_on_jobs(capsys):
-    # the thread count cannot change a result, and the report does not echo
+    # the worker count cannot change a result, and the report does not echo
     # it, so a fixed input prints the same JSON on every machine
-    outs = [run(capsys, "verify", "--max-rank", "3", "--jobs", jobs)
-            for jobs in ("1", "3")]
-    assert outs[0] == outs[1] and outs[0][0] == 0
-    assert json.loads(outs[0][1])["config"] == {"max_rank": 3}
+    reports = [cli.run_verify(3, jobs=jobs) for jobs in (1, 3)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    code, out, _ = run(capsys, "verify", "--max-rank", "3")
+    assert code == 0 and json.loads(out)["config"] == {"max_rank": 3}
+
+
+def test_verify_runs_on_one_worker_whatever_the_cpu_count(capsys, monkeypatch):
+    # the CPU count does not size verify's pool, in the library or the CLI
+    sizes = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    cli.run_verify(3)
+    assert sizes == [1]
+    sizes.clear()
+    assert run(capsys, "verify", "--max-rank", "3")[0] == 0
+    assert sizes == [1]
 
 
 def test_a_library_self_check_is_an_internal_error(capsys, monkeypatch):
@@ -328,6 +349,32 @@ def test_verify_leaves_a_family_grade_that_fails_the_rank_identity(
     assert [(f["space"], f["p"]) for f in rank["failures"]] == [("IG:3", 3)]
     assert components["foliation family twist consistency"]["checked"] == 13
     assert all(c["ok"] for c in components.values())
+
+
+def test_verify_lists_a_family_grade_above_the_rank_identity_cap(
+        monkeypatch, cold_answers):
+    # the hook route of IG:9 (dim 45, above the rank identity's dim 36)
+    # loses a summand of grade 1, the grade of its a = 1 symplectic row: no
+    # rank-identity case covers the grade, so the family check lists the row
+    # with both sums
+    real = plethysm.hooks_decompose
+
+    def lossy(spec, p):
+        pairs = real(spec, p)
+        return pairs[1:] if (spec.name, p) == ("IG:9", 1) else pairs
+
+    monkeypatch.setattr(plethysm, "hooks_decompose", lossy)
+    dropped = real(catalog.lagrangian(9), 1)[0][1].levi_dim
+    code, report = cli.run_verify(9)
+    assert code == 1
+    components = {c["name"]: c for c in report["components"]}
+    family = components["foliation family twist consistency"]
+    assert family["checked"] == 298
+    assert family["failures"] == [
+        {"space": "IG:9", "p": 1, "kind": "symplectic_projection",
+         "expected": 45, "got": 45 - dropped}]
+    assert components["rank identity"] == {
+        "name": "rank identity", "ok": True, "checked": 762, "failures": []}
 
 
 def test_verify_lists_an_exceptional_rank_identity_failure(capsys, monkeypatch,
@@ -506,6 +553,21 @@ def test_verify_output_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, max_rank
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    (["verify", "--max-rank", "8"], 1,
+     "0d9fdf423d694f52c1790addca386e00f403a348be460e037ba79dbfd5e05a52"),
+    (["verify", "--max-rank", "7", "--format", "csv"], 1,
+     "13ed6bc3acafa67ae6d757c02e12dbe4adabc7c162a430a9ea3cd14f96c671c3"),
+    (["foliation", "scan", "--max-rank", "8"], 0,
+     "2e802e6b0a3419026cd9018efb41363ea1416fb1dfce9eccc1cdc07494fdf624"),
+], ids=["verify-8", "verify-7-csv", "foliation-scan-8"])
+def test_sweep_output_is_pinned(capsys, argv, code, digest):
+    # the stdout and exit code of the other sweeps CI runs, byte for byte
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_options_are_pinned():
     # every option of every command; a new one needs an edit here
     def options(parser, path=()):
@@ -535,7 +597,7 @@ def test_cli_options_are_pinned():
         "foliation ortho": sorted(io + ["--a", "--n"]),
         "foliation cayley": io,
         "foliation scan": sorted(io + ["--max-rank"]),
-        "verify": sorted(io + ["--jobs", "--max-rank"]),
+        "verify": sorted(io + ["--max-rank"]),
     }
     # the sweep bounds that were removed are usage errors
     for argv in (["verify", "--families", "A"], ["verify", "--max-p", "3"],
@@ -557,9 +619,9 @@ def test_engine_state_limit_is_an_internal_error(capsys, monkeypatch,
 
 
 def test_verify_pool_builds_each_dp_table_once(cold_answers):
-    # one pool task per space: no two threads run the engine pass of one
-    # space, and no answer is computed twice
-    cli.run_verify(7)
+    # one pool task per space: on two workers no two threads run the engine
+    # pass of one space, and no answer is computed twice
+    cli.run_verify(7, jobs=2)
     engine_spaces = [s for s in catalog.iter_catalog_specs(7) if s.dim <= 27]
     passes = plethysm._engine_levels.cache_info()
     assert passes.misses == passes.currsize == len(engine_spaces) == 39
@@ -638,7 +700,7 @@ CSV_RUNS = [
     (["foliation", "ortho", "--n", "4", "--a", "1"], 0, _FOLIATION_HEADER),
     (["foliation", "cayley"], 0, _FOLIATION_HEADER),
     (["foliation", "scan", "--max-rank", "3"], 0, _FOLIATION_HEADER),
-    (["verify", "--max-rank", "2", "--jobs", "1"], 0, "name,ok,checked"),
+    (["verify", "--max-rank", "2"], 0, "name,ok,checked"),
 ]
 
 
