@@ -18,7 +18,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from . import catalog, foliations, partitions, twists
+from . import catalog, foliations, partitions, tables, twists
 from .plethysm import RankIdentityError, omega_decompose
 from .rootsys import root_system
 
@@ -82,14 +82,12 @@ _FOLIATION_FIELDS = ["space", "p", "l", "degree", "kind", "params",
 # -- verify components ---------------------------------------------------------------
 
 _RANK_IDENTITY_MAX_DIM = 36
+_ENGINE_MAX_DIM = 27
 
 
 def _component(name, results) -> dict:
     """One verify component from one result per case that ran: None when the
-    case passed, else its failure record; ``checked`` counts the results.  A
-    case needing a grade whose auto route fails the rank identity (an engine
-    comparison, a table audit, the scan, an atlas row) does not run, and the
-    rank identity lists the grade; above its cap the family check lists the row."""
+    case passed, else its failure record; ``checked`` counts the results."""
     failures = [r for r in results if r is not None]
     return {
         "name": name,
@@ -99,21 +97,25 @@ def _component(name, results) -> dict:
     }
 
 
-def _verify_partitions(max_rank: int) -> dict:
-    return _component("partition formula vs oracle", [
-        None if f == o.l else {"family": family, **({"k": k} if family == "A" else {}),
-                               "n": n, "p": p, "formula_l": f, "oracle_l": o.l}
-        for family in ("A", "C", "D")
-        for k, n, p, f, o in partitions.closed_form_cases(family, max_rank)])
+def _run(check, cases) -> list:
+    """``check(*case)`` for every case that ran.  A case needing a grade whose
+    auto route fails the rank identity does not run, and only that case: the
+    rank identity lists the grade (above its cap the family check lists it)."""
+    results = []
+    for case in cases:
+        try:
+            results.append(check(*case))
+        except RankIdentityError:
+            pass
+    return results
 
 
-def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
-    """The rank identity of the auto route on every catalog space up to
-    _RANK_IDENTITY_MAX_DIM, and up to dim 27 the auto route against the forced
-    engine.  One task per space asks each grade once per route, so no two
-    workers share an engine pass; by default one worker runs them in order."""
-    specs = [s for s in catalog.iter_catalog_specs(max_rank)
-             if s.dim <= _RANK_IDENTITY_MAX_DIM]
+def _verify_spaces(specs, jobs: int) -> list[dict]:
+    """The rank identity of the auto route up to _RANK_IDENTITY_MAX_DIM, and
+    up to _ENGINE_MAX_DIM the auto route against the forced engine.  One task
+    per space asks each grade once per route, so no two workers share an
+    engine pass; by default one worker runs them in order."""
+    specs = [s for s in specs if s.dim <= _RANK_IDENTITY_MAX_DIM]
 
     def check(spec):
         paths, ranks = [], []
@@ -125,7 +127,7 @@ def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
                               "expected": exc.expected, "got": exc.got})
                 continue
             ranks.append(None)
-            if spec.dim > 27:
+            if spec.dim > _ENGINE_MAX_DIM:
                 continue
             try:
                 dp = omega_decompose(spec, p, method="WeightDP")
@@ -148,51 +150,39 @@ def _verify_spaces(max_rank: int, jobs: int) -> list[dict]:
     ]
 
 
-def _verify_tables(max_rank: int) -> dict:
-    results = []
-    params = catalog.catalog_params(max_rank)
-    for which, family in (("E6", "cayley"), ("E7", "freudenthal")):
-        if not params[family]:
-            continue
-        try:
-            audit = twists.table_audit(which)
-        except RankIdentityError:
-            continue
-        results += [None if row.ok else {
-            "table": which, "p": row.p,
-            "computed": [list(w) for w in row.computed_weights],
-            "table_value": [list(w) for w in row.table_weights],
-            "computed_l": row.computed_l, "table_l": row.table_l,
-        } for row in audit.rows]
-    return _component("table audit", results)
+def _partition_case(family, k, n, p, formula_l, oracle):
+    return None if formula_l == oracle.l else {
+        "family": family, **({"k": k} if family == "A" else {}),
+        "n": n, "p": p, "formula_l": formula_l, "oracle_l": oracle.l}
 
 
-def _verify_nonvanishing(max_rank: int) -> dict:
+def _table_case(which, p):
+    row = twists.table_audit_row(which, p)
+    return None if row.ok else {
+        "table": which, "p": p,
+        "computed": [list(w) for w in row.computed_weights],
+        "table_value": [list(w) for w in row.table_weights],
+        "computed_l": row.computed_l, "table_l": row.table_l}
+
+
+def _scan_case(spec, p):
+    e = twists.scan_entry(spec, p)
+    return None if e.status != "violation" else {
+        "space": e.space, "p": e.p, "l": e.l, "note": e.note}
+
+
+def _family_case(fam):
+    """An atlas row is minimal: its normal twist l is the l(p) read off its
+    space's auto route."""
+    spec = catalog.parse_space(fam.space)
+    row = {"space": fam.space, "p": fam.p, "kind": fam.kind}
     try:
-        entries = twists.nonvanishing_scan(max_rank).entries
-    except RankIdentityError:
-        entries = ()
-    return _component("low-twist nonvanishing scan", [
-        {"space": e.space, "p": e.p, "l": e.l, "note": e.note}
-        if e.status == "violation" else None for e in entries])
-
-
-def _verify_families(max_rank: int) -> dict:
-    """Every row of the foliation atlas is minimal: its normal twist l is the
-    l(p) read off its space's auto route."""
-    results = []
-    for fam in foliations.foliation_atlas(max_rank):
-        spec = catalog.parse_space(fam.space)
-        row = {"space": fam.space, "p": fam.p, "kind": fam.kind}
-        try:
-            route_l = twists.route_l(spec, fam.p)
-        except RankIdentityError as exc:
-            if spec.dim > _RANK_IDENTITY_MAX_DIM:
-                results.append({**row, "expected": exc.expected, "got": exc.got})
-            continue
-        results.append(None if fam.l == route_l else {
-            **row, "family_l": fam.l, "route_l": route_l})
-    return _component("foliation family twist consistency", results)
+        route_l = twists.route_l(spec, fam.p)
+    except RankIdentityError as exc:
+        if spec.dim <= _RANK_IDENTITY_MAX_DIM:
+            raise
+        return {**row, "expected": exc.expected, "got": exc.got}
+    return None if fam.l == route_l else {**row, "family_l": fam.l, "route_l": route_l}
 
 
 def run_verify(max_rank: int = 6, jobs: int = 1) -> tuple[int, dict]:
@@ -202,12 +192,19 @@ def run_verify(max_rank: int = 6, jobs: int = 1) -> tuple[int, dict]:
         raise ValueError("--max-rank must be at least 2")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    specs = list(catalog.iter_catalog_specs(max_rank))
     components = [
-        _verify_partitions(max_rank),
-        *_verify_spaces(max_rank, jobs),
-        _verify_tables(max_rank),
-        _verify_nonvanishing(max_rank),
-        _verify_families(max_rank),
+        _component("partition formula vs oracle", _run(_partition_case, (
+            (family, *case) for family in ("A", "C", "D")
+            for case in partitions.closed_form_cases(family, max_rank)))),
+        *_verify_spaces(specs, jobs),
+        _component("table audit", _run(_table_case, (
+            (spec.name, p) for spec in specs for p in sorted(
+                {"E6": tables.TABLE_E6, "E7": tables.TABLE_E7}.get(spec.name, ()))))),
+        _component("low-twist nonvanishing scan", _run(_scan_case, (
+            (spec, p) for spec in specs for p in range(1, spec.dim + 1)))),
+        _component("foliation family twist consistency", _run(
+            _family_case, ((fam,) for fam in foliations.foliation_atlas(max_rank)))),
     ]
     ok = all(c["ok"] for c in components)
     report = {

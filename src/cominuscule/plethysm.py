@@ -32,10 +32,10 @@ by subset sums, then Klimyk's formula over the same dot action.
 Kostant's route caches the coset points of every grade of a space and
 computes the summands, with their Levi dimensions, only for the grade asked;
 the engine caches the summands of every grade, and a forced answer is read
-from that cache alone.  The answers of the other routes are cached per
-(space, p, route) in one more cache, so no route's answer is served for
-another.  All three caches are bounded, and the rank identity is checked
-on every call, cached or not.
+from that cache alone.  The answers of ``method="auto"`` are cached per
+(space, p) in one more cache, which reads the route from the family, so no
+route's answer is served for another.  All three caches are bounded, and the
+rank identity is checked on every call, cached or not.
 """
 from __future__ import annotations
 

@@ -172,35 +172,34 @@ def _is_lagrangian_class(spec: GrassmannianSpec) -> str | None:
     return None
 
 
-def nonvanishing_scan(max_rank: int) -> NonvanishingScan:
-    """Check every catalog space up to the given ambient rank, all p.
+def scan_entry(spec: GrassmannianSpec, p: int) -> ScanEntry:
+    """One (space, p) of the scan, its l(p) the closed form where there is
+    one and read off the auto route otherwise; with l(p) <= 3 it is
+    classified as a confirmation, a permitted Lagrangian p = 3 exception, or
+    a violation."""
+    l = closed_form_l(spec, p)
+    if l is None:
+        l = route_l(spec, p)
+    status, note = "ok", ""
+    if l <= 2 and p != 1:
+        status = "violation"
+        note = "sections at twist <= 2 with p > 1"
+    elif l <= 3 and p > 2:
+        lagr = _is_lagrangian_class(spec)
+        if p == 3 and lagr is not None:
+            status = "exception"
+            note = f"permitted: Lagrangian Grassmannian ({lagr}) at p=3"
+        else:
+            status = "violation"
+            note = "sections at twist 3 with p > 2"
+    return ScanEntry(spec.name, p, l, l - p - 1, status, note)
 
-    Emits one entry per (space, p), its l(p) the closed form where there is
-    one and read off the auto route otherwise; entries with l(p) <= 3 get
-    classified as confirmations, permitted Lagrangian p = 3 exceptions, or
-    violations.
-    """
-    entries: list[ScanEntry] = []
-    for spec in iter_catalog_specs(max_rank):
-        for p in range(1, spec.dim + 1):
-            l = closed_form_l(spec, p)
-            if l is None:
-                l = route_l(spec, p)
-            status = "ok"
-            note = ""
-            if l <= 2 and p != 1:
-                status = "violation"
-                note = "sections at twist <= 2 with p > 1"
-            elif l <= 3 and p > 2:
-                lagr = _is_lagrangian_class(spec)
-                if p == 3 and lagr is not None:
-                    status = "exception"
-                    note = f"permitted: Lagrangian Grassmannian ({lagr}) at p=3"
-                else:
-                    status = "violation"
-                    note = "sections at twist 3 with p > 2"
-            entries.append(ScanEntry(spec.name, p, l, l - p - 1, status, note))
-    return NonvanishingScan(max_rank=max_rank, entries=tuple(entries))
+
+def nonvanishing_scan(max_rank: int) -> NonvanishingScan:
+    """``scan_entry`` on every catalog space up to ``max_rank``, all p."""
+    return NonvanishingScan(max_rank, tuple(
+        scan_entry(spec, p) for spec in iter_catalog_specs(max_rank)
+        for p in range(1, spec.dim + 1)))
 
 
 # -- audit of the transcribed exceptional tables -------------------------------------
@@ -241,29 +240,29 @@ class TableAudit(NamedTuple):
         return tuple(r for r in self.rows if not r.ok)
 
 
-def table_audit(which: str) -> TableAudit:
-    """Recompute the full exceptional table ("E6" or "E7") and diff it
-    cell-by-cell against the transcription."""
+def _exceptional_table(which: str):
+    """The space and the transcribed table of "E6" or "E7"."""
     if which == "E6":
-        spec, table = cayley(), tables.TABLE_E6
-    elif which == "E7":
-        spec, table = freudenthal(), tables.TABLE_E7
-    else:
-        raise ValueError(f"unknown table {which!r}; expected E6 or E7")
-    rows = []
-    for p in sorted(table):
-        expected_weights, expected_l = table[p]
-        report = omega_decompose(spec, p)
-        got = tuple(sorted(report.weights(), reverse=True))
-        want = tuple(sorted(expected_weights, reverse=True))
-        got_l = _min_l(spec, report.summands)
-        rows.append(TableAuditRow(
-            p=p,
-            computed_weights=got,
-            table_weights=want,
-            weights_match=got == want,
-            computed_l=got_l,
-            table_l=expected_l,
-            l_match=got_l == expected_l,
-        ))
-    return TableAudit(which=which, rows=tuple(rows))
+        return cayley(), tables.TABLE_E6
+    if which == "E7":
+        return freudenthal(), tables.TABLE_E7
+    raise ValueError(f"unknown table {which!r}; expected E6 or E7")
+
+
+def table_audit_row(which: str, p: int) -> TableAuditRow:
+    """Recompute row p of an exceptional table ("E6" or "E7") and diff it
+    cell by cell against the transcription."""
+    spec, table = _exceptional_table(which)
+    expected_weights, expected_l = table[p]
+    report = omega_decompose(spec, p)
+    got = tuple(sorted(report.weights(), reverse=True))
+    want = tuple(sorted(expected_weights, reverse=True))
+    got_l = _min_l(spec, report.summands)
+    return TableAuditRow(p, got, want, got == want, got_l, expected_l,
+                         got_l == expected_l)
+
+
+def table_audit(which: str) -> TableAudit:
+    """``table_audit_row`` on every row of the table, in order of p."""
+    return TableAudit(which, tuple(table_audit_row(which, p)
+                                   for p in sorted(_exceptional_table(which)[1])))

@@ -380,9 +380,10 @@ def test_verify_lists_a_family_grade_above_the_rank_identity_cap(
 def test_verify_lists_an_exceptional_rank_identity_failure(capsys, monkeypatch,
                                                            cold_answers):
     # Kostant's route drops the first summand of E6 p = 4 and E7 p = 5: a
-    # listed mismatch, as on Q:5; the engine comparison of each grade, both
-    # table audits and the scan, which reads E6 and E7 off the auto route,
-    # do not run and are not counted
+    # listed mismatch, as on Q:5; the engine comparison of each grade, its
+    # table-audit row and its scan entry, which reads E6 and E7 off the auto
+    # route, do not run and are not counted, and every other row and entry
+    # still runs, so the E6 p = 8 transcription finding is still listed
     real = plethysm._kostant_summands
 
     def lossy(spec, p):
@@ -397,10 +398,12 @@ def test_verify_lists_an_exceptional_rank_identity_failure(capsys, monkeypatch,
     assert components.pop("rank identity")["failures"] == [
         {"space": "E6", "p": 4, "expected": 1820, "got": 770},
         {"space": "E7", "p": 5, "expected": 80730, "got": 34398}]
+    audit = components.pop("table audit")
+    assert not audit["ok"] and audit["checked"] == 39
+    assert [(f["table"], f["p"]) for f in audit["failures"]] == [("E6", 8)]
+    assert components["low-twist nonvanishing scan"]["checked"] == 387
     assert all(c["ok"] for c in components.values())
     assert components["fast path vs weight engine"]["checked"] == 398
-    assert components["table audit"]["checked"] < 41
-    assert components["low-twist nonvanishing scan"]["checked"] < 389
     # the standalone commands have no rank-identity component to list it in
     for argv in (["table-audit", "--which", "E6"],
                  ["nonvanishing", "--max-rank", "7"]):
@@ -412,22 +415,32 @@ def test_verify_lists_an_exceptional_rank_identity_failure(capsys, monkeypatch,
 
 def test_verify_counts_the_grades_its_calls_answered(monkeypatch):
     # each space component counts the grades on which its own calls
-    # returned, one call per grade and route, not a count made beside them
+    # returned, one call per grade and route, not a count made beside them;
+    # at rank 6, with E6, the table audit and the scan count the rows and
+    # entries on which their own calls returned
     answered = []
-    real = cli.omega_decompose
 
-    def spy(spec, p, method="auto"):
-        report = real(spec, p, method)
-        answered.append((method, spec.name, p))
-        return report
+    def spy(module, name, record):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(cli, "omega_decompose", spy)
-    code, report = cli.run_verify(5)
+        def call(*args, **kwargs):
+            result = real(*args, **kwargs)
+            answered.append(record(*args, **kwargs))
+            return result
+        monkeypatch.setattr(module, name, call)
+
+    spy(cli, "omega_decompose",
+        lambda spec, p, method="auto": (method, spec.name, p))
+    spy(twists, "table_audit_row", lambda which, p: ("table", which, p))
+    spy(twists, "scan_entry", lambda spec, p: ("scan", spec.name, p))
+    code, report = cli.run_verify(6)
     components = {c["name"]: c["checked"] for c in report["components"]}
-    assert code == 0 and len(set(answered)) == len(answered)
-    methods = [method for method, _, _ in answered]
-    assert components["rank identity"] == methods.count("auto")
-    assert components["fast path vs weight engine"] == methods.count("WeightDP")
+    assert code == 1 and len(set(answered)) == len(answered)
+    kinds = [kind for kind, _, _ in answered]
+    assert components["rank identity"] == kinds.count("auto")
+    assert components["fast path vs weight engine"] == kinds.count("WeightDP")
+    assert components["table audit"] == kinds.count("table") == 15
+    assert components["low-twist nonvanishing scan"] == kinds.count("scan")
 
 
 def test_run_verify_refuses_a_rank_below_two():
@@ -556,11 +569,13 @@ def test_verify_output_is_pinned(capsys):
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", "--max-rank", "8"], 1,
      "0d9fdf423d694f52c1790addca386e00f403a348be460e037ba79dbfd5e05a52"),
+    (["verify", "--max-rank", "9"], 1,
+     "728f49644d6faf0502045b73b5702471b0fd88caf21d506800fa66ddf502e796"),
     (["verify", "--max-rank", "7", "--format", "csv"], 1,
      "13ed6bc3acafa67ae6d757c02e12dbe4adabc7c162a430a9ea3cd14f96c671c3"),
     (["foliation", "scan", "--max-rank", "8"], 0,
      "2e802e6b0a3419026cd9018efb41363ea1416fb1dfce9eccc1cdc07494fdf624"),
-], ids=["verify-8", "verify-7-csv", "foliation-scan-8"])
+], ids=["verify-8", "verify-9", "verify-7-csv", "foliation-scan-8"])
 def test_sweep_output_is_pinned(capsys, argv, code, digest):
     # the stdout and exit code of the other sweeps CI runs, byte for byte
     got, out, err = run(capsys, *argv)

@@ -212,6 +212,16 @@ def test_table_audit_e7_matches_completely():
 def test_table_audit_rejects_unknown():
     with pytest.raises(ValueError):
         table_audit("E8")
+    with pytest.raises(ValueError):
+        twists.table_audit_row("E8", 1)
+
+
+def test_each_batch_is_its_row_function_over_its_cases():
+    # verify runs the rows and entries one by one; the batches give the same
+    assert table_audit("E6").rows[7] == twists.table_audit_row("E6", 8)
+    assert nonvanishing_scan(3).entries == tuple(
+        twists.scan_entry(s, p) for s in iter_catalog_specs(3)
+        for p in range(1, s.dim + 1))
 
 
 def test_nonvanishing_scan_small():
